@@ -78,16 +78,22 @@ def parse_family(kind: str, params: list[str]) -> Graph:
             kv[key] = val
         else:
             plain.extend(_ints(tok))
+
+    def leading(count: int, what: str) -> list[int]:
+        if len(plain) < count:
+            raise GraphError(f"{kind} needs {what}")
+        return plain[:count]
+
     if kind == "path":
-        return make_path(plain[0])
+        return make_path(*leading(1, "a node count"))
     if kind == "ring":
-        return make_ring(plain[0])
+        return make_ring(*leading(1, "a node count"))
     if kind == "complete":
-        return make_complete(plain[0])
+        return make_complete(*leading(1, "a node count"))
     if kind == "grid":
-        if "rows" in kv:
+        if "rows" in kv and "cols" in kv:
             return make_grid(int(kv["rows"]), int(kv["cols"]))
-        return make_grid(plain[0], plain[1])
+        return make_grid(*leading(2, "a row count and a column count"))
     if kind == "theta":
         return make_theta(plain)
     if kind == "lollipop":

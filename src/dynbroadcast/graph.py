@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Any, Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -376,18 +375,3 @@ def _check_label_nodes(g: Graph) -> None:
         if not (0 <= ref < g.node_count):
             raise GraphError(f"family label references invalid node {ref}")
 
-
-# -- expected counts used by postcondition checks ------------------------------
-
-
-def theta_expected_counts(ds: Iterable[int]) -> tuple[int, int]:
-    ds = list(ds)
-    return sum(ds) + 2, sum(d + 1 for d in ds)
-
-
-def lollipop_expected_counts(k: int, path_edges: int) -> tuple[int, int]:
-    return path_edges + k + 2, path_edges + comb(k + 2, 2)
-
-
-def clique_star_expected_edges(n: int, lam: int) -> int:
-    return lam * comb((n - 1) // lam + 1, 2)

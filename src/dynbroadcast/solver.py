@@ -1,10 +1,33 @@
 """Exhaustive game solving on small instances.
 
-A state is agent-winning iff every ignorant agent has converted, or for every
-adversary removal there exists a joint agent move leading (after conversion)
-to an agent-winning state. The winning set is the least fixed point of that
-operator, computed in synchronous waves so that the wave index of a state is
-exactly the minimax number of rounds to full broadcast.
+Every exact answer here comes from one game graph and one fixpoint. A node is
+a position of the game; its branches are the adversary's choices there, and
+each branch lists the successor nodes the agents choose between. The graph is
+stored as flat arrays (`_GameGraph`): the owner node of every branch, and the
+int32 successor ids of every branch, delimited by offsets.
+
+`_solve(goal, graph)` computes the attractor of the goal nodes in a
+reachability game (Grädel, Thomas & Wilke, *Automata, Logics, and Infinite
+Games*, ch. 2) in synchronous numpy waves. Invariant: the rank of a node is
+its minimax round count,
+
+    rank = 0                                              on goal nodes,
+    rank = max over branches of (1 + min over successors of rank)  otherwise,
+
+and -1 where the agents cannot force the goal. Wave w decides exactly the
+nodes of rank w, so no rank is ever revised.
+
+Three questions are asked of such graphs:
+
+- `compute_attractor`: the nodes are canonical states (positions up to
+  permutation of same-class agents), the branches are adversary removals, and
+  the goal is "no ignorant agent";
+- `game_value(..., "first_new_source")`: the same graph, with the goal "fewer
+  ignorant agents than at the start";
+- `model_check_policy`: the nodes are (agent state, policy memory) pairs
+  reached from the start. A fixed agent policy gives one single-successor
+  branch per removal; a fixed adversary gives one branch holding every joint
+  move.
 
 Adversary branching defaults to spanning trees of the base graph: the
 adversary moves no agents, so shrinking the surviving edge set only shrinks
@@ -14,19 +37,18 @@ The all-subsets mode is retained to test that reduction.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Hashable, Iterable, Literal, NamedTuple
+from typing import Callable, Hashable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from .engine import AgentState, Configuration, _convert, initial_state
+from .engine import AgentState, Configuration, _convert, initial_state, step
 from .graph import Edge, Graph, is_connected
 
 DEFAULT_BUDGET_STATES = 300_000
-DEFAULT_MAX_NODES = 12
-DEFAULT_MAX_AGENTS = 5
 
 Mode = Literal["spanning_trees", "all_subsets"]
 Placement = Literal["adversarial", "agents_choose"]
@@ -93,7 +115,56 @@ def _branch_removals(g: Graph, mode: Mode) -> list[frozenset[Edge]]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- attractor over the full canonical state space --------------------------------
+# -- the game graph and its one fixpoint -----------------------------------------
+
+
+class _GameGraph:
+    """Branches in any order: the owner node of each, and its successor ids.
+
+    Every branch needs at least one successor (the agents may always stay
+    put); `_solve` reads an empty branch as its neighbour's first successor.
+    """
+
+    def __init__(self) -> None:
+        self.owner = array("i")
+        self.offsets = array("q", [0])  # branch b's successors: succ[offsets[b]:offsets[b+1]]
+        self.succ = array("i")
+
+    def add_branch(self, node: int, successors: Iterable[int]) -> None:
+        self.owner.append(node)
+        self.succ.extend(successors)
+        self.offsets.append(len(self.succ))
+
+
+def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
+    """Minimax rank of every node (see the module docstring); -1 if lost.
+
+    A node that is not a goal and has no branch is lost.
+    """
+    owner = np.frombuffer(graph.owner, dtype=np.int32)
+    starts = np.frombuffer(graph.offsets, dtype=np.int64)[:-1]
+    succ = np.frombuffer(graph.succ, dtype=np.int32)
+    win = goal.copy()
+    rank = np.where(win, 0, -1)
+    undecided = np.zeros(len(goal), dtype=bool)
+    undecided[owner] = True
+    undecided &= ~win
+    wave = 0
+    while undecided.any():
+        wave += 1
+        # A branch blocks its owner this wave if no successor is won yet.
+        blocked = ~np.logical_or.reduceat(win[succ], starts)
+        newly = undecided.copy()
+        newly[owner[blocked]] = False
+        if not newly.any():
+            break
+        win |= newly
+        rank[newly] = wave
+        undecided &= ~newly
+    return rank
+
+
+# -- the canonical game graph -------------------------------------------------------
 
 
 @dataclass
@@ -123,26 +194,13 @@ def _enumerate_states(n: int, total: int) -> list[CanonicalState]:
     return states
 
 
-def compute_attractor(
-    g: Graph,
-    total_agents: int,
-    mode: Mode = "spanning_trees",
-    budget_states: int = DEFAULT_BUDGET_STATES,
-) -> Attractor:
-    key = (g, total_agents, mode)
-    cached = _ATTRACTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+def _successor_builder(
+    g: Graph, mode: Mode, index: dict[CanonicalState, int]
+) -> tuple[list[frozenset[Edge]], Callable[[CanonicalState, int], tuple[int, ...]]]:
+    """The removals, and successors(state, r): the ids of the canonical states
+    (after conversion) the agents can reach from `state` under removal r."""
     n = g.node_count
-    states = _enumerate_states(n, total_agents)
-    if len(states) > budget_states:
-        raise BudgetExceeded(
-            f"undecided: budget ({len(states)} states > {budget_states})"
-        )
-    index = {s: i for i, s in enumerate(states)}
     removals = _branch_removals(g, mode)
-    n_removals = len(removals)
 
     # Per-removal move options per node (stay or cross a surviving edge).
     opts_per_removal: list[list[tuple[int, ...]]] = []
@@ -167,13 +225,6 @@ def compute_attractor(
         multiset_memo[(ms, r_idx)] = out
         return out
 
-    # Successor state ids per (state, removal) pair, flattened.
-    active = [i for i, s in enumerate(states) if s.ignorant]
-    succ_flat = array_int()
-    offsets = array_int()
-    offsets.append(0)
-    pair_of: dict[int, int] = {}  # state idx -> first pair id (pairs are contiguous)
-
     # Post-conversion state index for a (ignorant, source) target multiset pair.
     conv_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -189,76 +240,74 @@ def compute_attractor(
     # menus arise under many removals of a symmetric graph).
     set_memo: dict[tuple, tuple[int, ...]] = {}
 
-    pair_count = 0
-    for s_idx in active:
-        st = states[s_idx]
-        pair_of[s_idx] = pair_count
-        for r_idx in range(n_removals):
-            ig_targets = class_targets(st.ignorant, r_idx)
-            src_targets = class_targets(st.source, r_idx)
-            set_key = (ig_targets, src_targets)
-            cached_set = set_memo.get(set_key)
-            if cached_set is None:
-                succs: set[int] = set()
-                add = succs.add
-                get = conv_memo.get
-                for src_ms in src_targets:
-                    for ig_ms in ig_targets:
-                        key = (ig_ms, src_ms)
-                        t = get(key)
-                        if t is None:
-                            t = converted_index(ig_ms, src_ms)
-                            conv_memo[key] = t
-                        add(t)
-                cached_set = tuple(succs)
-                set_memo[set_key] = cached_set
-            succ_flat.extend(cached_set)
-            offsets.append(len(succ_flat))
-            pair_count += 1
+    def successors(st: CanonicalState, r_idx: int) -> tuple[int, ...]:
+        ig_targets = class_targets(st.ignorant, r_idx)
+        src_targets = class_targets(st.source, r_idx)
+        set_key = (ig_targets, src_targets)
+        cached_set = set_memo.get(set_key)
+        if cached_set is None:
+            succs: set[int] = set()
+            add = succs.add
+            get = conv_memo.get
+            for src_ms in src_targets:
+                for ig_ms in ig_targets:
+                    pair = (ig_ms, src_ms)
+                    t = get(pair)
+                    if t is None:
+                        t = converted_index(ig_ms, src_ms)
+                        conv_memo[pair] = t
+                    add(t)
+            cached_set = tuple(succs)
+            set_memo[set_key] = cached_set
+        return cached_set
 
-    succ_np = np.frombuffer(succ_flat, dtype=np.int64) if succ_flat else np.empty(0, np.int64)
-    off_np = np.frombuffer(offsets, dtype=np.int64)
+    return removals, successors
 
-    win = np.zeros(len(states), dtype=bool)
-    rank_arr = np.full(len(states), -1, dtype=np.int64)
-    for i, s in enumerate(states):
-        if not s.ignorant:
-            win[i] = True
-            rank_arr[i] = 0
 
-    undecided = active
-    wave = 0
-    while undecided:
-        wave += 1
-        newly = []
-        still = []
-        for s_idx in undecided:
-            base = pair_of[s_idx]
-            ok = True
-            for r_idx in range(n_removals):
-                a = off_np[base + r_idx]
-                b = off_np[base + r_idx + 1]
-                if not win[succ_np[a:b]].any():
-                    ok = False
-                    break
-            (newly if ok else still).append(s_idx)
-        if not newly:
-            break
-        for s_idx in newly:
-            win[s_idx] = True
-            rank_arr[s_idx] = wave
-        undecided = still
+def _canonical_graph(
+    g: Graph,
+    total_agents: int,
+    mode: Mode,
+    budget_states: int,
+    expand: Callable[[CanonicalState], bool],
+) -> tuple[list[CanonicalState], dict[CanonicalState, int], _GameGraph]:
+    """All canonical states, their ids, and the game graph with one branch per
+    removal at every state `expand` selects."""
+    states = _enumerate_states(g.node_count, total_agents)
+    if len(states) > budget_states:
+        raise BudgetExceeded(
+            f"undecided: budget ({len(states)} states > {budget_states})"
+        )
+    index = {s: i for i, s in enumerate(states)}
+    removals, successors = _successor_builder(g, mode, index)
+    graph = _GameGraph()
+    for s_idx, st in enumerate(states):
+        if expand(st):
+            for r_idx in range(len(removals)):
+                graph.add_branch(s_idx, successors(st, r_idx))
+    return states, index, graph
 
-    rank = {states[i]: int(rank_arr[i]) for i in range(len(states)) if win[i]}
+
+def compute_attractor(
+    g: Graph,
+    total_agents: int,
+    mode: Mode = "spanning_trees",
+    budget_states: int = DEFAULT_BUDGET_STATES,
+) -> Attractor:
+    key = (g, total_agents, mode)
+    cached = _ATTRACTOR_CACHE.get(key)
+    # A smaller budget than the cached build must still raise BudgetExceeded.
+    if cached is not None and len(cached.states) <= budget_states:
+        return cached
+    states, index, graph = _canonical_graph(
+        g, total_agents, mode, budget_states, lambda st: bool(st.ignorant)
+    )
+    goal = np.fromiter((not s.ignorant for s in states), dtype=bool, count=len(states))
+    rank_arr = _solve(goal, graph)
+    rank = {states[i]: int(rank_arr[i]) for i in np.flatnonzero(rank_arr >= 0)}
     result = Attractor(g, total_agents, mode, index, states, rank, len(states))
     _ATTRACTOR_CACHE[key] = result
     return result
-
-
-def array_int():
-    from array import array
-
-    return array("q")
 
 
 # -- public solver operations ------------------------------------------------------
@@ -354,58 +403,23 @@ def game_value(
         state = canonical(state)
     state = canonical_after_conversion(state.ignorant, state.source)
     total = len(state.ignorant) + len(state.source)
-    att = compute_attractor(g, total, mode, budget_states)
     if objective == "all_sources":
-        r = att.rank.get(state)
+        r = compute_attractor(g, total, mode, budget_states).rank.get(state)
         return INFINITE if r is None else r
     if objective != "first_new_source":
         raise ValueError(f"unknown objective {objective!r}")
     if not state.ignorant:
         return 0
+    if not state.source:
+        return INFINITE  # nobody can ever convert
     i0 = len(state.ignorant)
-    # Value iteration on the layer with i0 ignorant agents; any successor with
-    # fewer ignorant agents is the goal event at value 0.
-    removals = _branch_removals(g, mode)
-    layer = [s for s in att.states if len(s.ignorant) == i0]
-    value: dict[CanonicalState, int | float] = {}
-    goal_or_value = lambda s: 0 if len(s.ignorant) < i0 else value.get(s, INFINITE)
-
-    succ_cache: dict[tuple[CanonicalState, int], list[CanonicalState]] = {}
-
-    def successors(s: CanonicalState, r_idx: int) -> list[CanonicalState]:
-        got = succ_cache.get((s, r_idx))
-        if got is not None:
-            return got
-        adj = g.without(removals[r_idx]).adjacency()
-        opts = [(v,) + adj[v] for v in range(g.node_count)]
-        succs = set()
-        for src_tgt in product(*(opts[v] for v in s.source)):
-            for ig_tgt in product(*(opts[v] for v in s.ignorant)):
-                succs.add(canonical_after_conversion(ig_tgt, src_tgt))
-        out = sorted(succs)
-        succ_cache[(s, r_idx)] = out
-        return out
-
-    changed = True
-    wave = 0
-    while changed:
-        wave += 1
-        changed = False
-        for s in layer:
-            if s in value:
-                continue
-            worst = 0
-            ok = True
-            for r_idx in range(len(removals)):
-                best = min(goal_or_value(t) for t in successors(s, r_idx))
-                if best == INFINITE or best >= wave:
-                    ok = False
-                    break
-                worst = max(worst, 1 + best)
-            if ok:
-                value[s] = worst
-                changed = True
-    return value.get(state, INFINITE)
+    # Play stays in the layer with i0 ignorant agents until the goal.
+    states, index, graph = _canonical_graph(
+        g, total, mode, budget_states, lambda st: len(st.ignorant) == i0
+    )
+    goal = np.fromiter((len(s.ignorant) < i0 for s in states), dtype=bool, count=len(states))
+    r = int(_solve(goal, graph)[index[state]])
+    return INFINITE if r < 0 else r
 
 
 # -- extracted policies --------------------------------------------------------------
@@ -457,7 +471,9 @@ class SolvedAdversaryPolicy:
     def __init__(self, attractor: Attractor, name: str = "solved_adversary"):
         self.attractor = attractor
         self.name = name
-        self._removals = _branch_removals(attractor.graph, attractor.mode)
+        self._removals, self._successors = _successor_builder(
+            attractor.graph, attractor.mode, attractor.index
+        )
 
     def place(self, base: Graph, k_ignorant: int, k_source: int) -> AgentState:
         att = self.attractor
@@ -470,21 +486,10 @@ class SolvedAdversaryPolicy:
         return None
 
     def decide(self, base: Graph, state: AgentState, memory: Hashable):
-        cfg = state.config()
-        here = canonical(cfg)
-        att = self.attractor
-        for removed in self._removals:
-            adj = base.without(removed).adjacency()
-            opts = [(v,) + adj[v] for v in range(base.node_count)]
-            ok = True
-            for src_tgt in product(*(opts[v] for v in here.source)):
-                for ig_tgt in product(*(opts[v] for v in here.ignorant)):
-                    if att.wins(canonical_after_conversion(ig_tgt, src_tgt)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+        here = canonical(state.config())
+        states, rank = self.attractor.states, self.attractor.rank
+        for r_idx, removed in enumerate(self._removals):
+            if not any(states[t] in rank for t in self._successors(here, r_idx)):
                 return removed, None
         return frozenset(), None  # agent-winning state; nothing to defend
 
@@ -520,101 +525,52 @@ def model_check_policy(
     initial = AgentState(initial.positions, new_cls)
 
     if fixed.role == "agents":
-        return _check_fixed_agents(g, initial, fixed, removals, budget_states)
-    return _check_fixed_adversary(g, initial, fixed, budget_states)
 
+        def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
+            # One branch per removal, holding the policy's single reply.
+            out = []
+            for removed in removals:
+                targets, mem2 = fixed.decide(g.without(removed), state, mem)
+                out.append([(step(g, state, removed, targets)[0], mem2)])
+            return out
 
-def _check_fixed_agents(g, initial, policy, removals, budget_states) -> SolverResult:
-    Node = tuple  # (AgentState, memory)
-    start: Node = (initial, policy.initial_memory(g, initial))
-    succs: dict[Node, list[Node]] = {}
+    else:
+
+        def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
+            # One branch, holding every joint move against the policy's removal.
+            removed, mem2 = fixed.decide(g, state, mem)
+            adj = g.without(removed).adjacency()
+            moves = product(*((p,) + adj[p] for p in state.positions))
+            return [[(AgentState(t, _convert(t, state.is_source)[0]), mem2) for t in moves]]
+
+    # Depth-first exploration of (state, memory) nodes, numbered on discovery.
+    start = (initial, fixed.initial_memory(g, initial))
+    ids = {start: 0}
+    solved: list[int] = []
+    graph = _GameGraph()
     stack = [start]
-    seen = {start}
     while stack:
         node = stack.pop()
         state, mem = node
         if state.config().is_solved():
-            succs[node] = []
+            solved.append(ids[node])
             continue
-        if len(seen) > budget_states:
+        if len(ids) > budget_states:
             raise BudgetExceeded("undecided: budget (model check exploration)")
-        out = []
-        for removed in removals:
-            surviving = g.without(removed)
-            targets, mem2 = policy.decide(surviving, state, mem)
-            from .engine import step
+        here = ids[node]
+        for branch in expand(state, mem):
+            succ_ids = []
+            for nxt in branch:
+                t = ids.get(nxt)
+                if t is None:
+                    t = ids[nxt] = len(ids)
+                    stack.append(nxt)
+                succ_ids.append(t)
+            graph.add_branch(here, succ_ids)
 
-            nxt_state, _ = step(g, state, removed, targets)
-            nxt = (nxt_state, mem2)
-            out.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        succs[node] = out
-
-    # Agents (fixed) win iff every adversary play reaches the goal.
-    win: dict[Node, int | float] = {}
-    for node in succs:
-        if node[0].config().is_solved():
-            win[node] = 0
-    changed = True
-    while changed:
-        changed = False
-        for node, out in succs.items():
-            if node in win:
-                continue
-            vals = [win.get(t) for t in out]
-            if all(v is not None for v in vals):
-                win[node] = 1 + max(vals)  # adversary maximizes rounds
-                changed = True
-    if start in win:
-        return SolverResult("agents", win[start], len(seen))
-    return SolverResult("adversary", INFINITE, len(seen))
-
-
-def _check_fixed_adversary(g, initial, policy, budget_states) -> SolverResult:
-    start = (initial, policy.initial_memory(g, initial))
-    succs: dict[tuple, list[tuple]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        state, mem = node
-        if state.config().is_solved():
-            succs[node] = []
-            continue
-        if len(seen) > budget_states:
-            raise BudgetExceeded("undecided: budget (model check exploration)")
-        removed, mem2 = policy.decide(g, state, mem)
-        adj = g.without(removed).adjacency()
-        opts = [(p,) + adj[p] for p in state.positions]
-        out = []
-        for targets in product(*opts):
-            new_cls, _ = _convert(targets, state.is_source)
-            nxt = (AgentState(tuple(targets), new_cls), mem2)
-            out.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        succs[node] = sorted(
-            set(out), key=lambda t: (t[0].positions, t[0].is_source)
-        )
-
-    # Agents (optimal) win iff some play reaches the goal.
-    dist: dict[tuple, int] = {}
-    for node in succs:
-        if node[0].config().is_solved():
-            dist[node] = 0
-    changed = True
-    while changed:
-        changed = False
-        for node, out in succs.items():
-            if node in dist:
-                continue
-            vals = [dist[t] for t in out if t in dist]
-            if vals:
-                dist[node] = 1 + min(vals)
-                changed = True
-    if start in dist:
-        return SolverResult("agents", dist[start], len(seen))
-    return SolverResult("adversary", INFINITE, len(seen))
+    goal = np.zeros(len(ids), dtype=bool)
+    goal[solved] = True
+    r = int(_solve(goal, graph)[0])
+    if r >= 0:
+        return SolverResult("agents", r, len(ids))
+    return SolverResult("adversary", INFINITE, len(ids))

@@ -32,6 +32,25 @@ class TestGenerate:
         assert code == 1
         assert "moebius" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "path"),
+            ("generate", "ring"),
+            ("generate", "complete"),
+            ("generate", "grid", "3"),
+            ("generate", "grid", "rows=3"),
+            ("analyze", "path:"),
+            ("analyze", "ring:"),
+            ("analyze", "complete:"),
+            ("analyze", "grid:"),
+        ],
+    )
+    def test_missing_size_is_diagnostic(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {argv[1].split(':')[0]} needs ")
+
 
 class TestAnalyze:
     def test_theta_exact(self, capsys):

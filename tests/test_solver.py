@@ -2,6 +2,7 @@
 extracted policies, and the fixed-policy model checker."""
 
 import itertools
+from math import ceil
 
 import networkx as nx
 import pytest
@@ -100,8 +101,6 @@ class TestKnownOptima:
 
 class TestGameValue:
     def test_path_timing_values(self):
-        from math import ceil
-
         for n in range(3, 11):
             for x in (1, 2):
                 for y in (1, 2):
@@ -117,8 +116,6 @@ class TestGameValue:
                     assert game_value(g, config, "all_sources") == ceil((n - y) / 2)
 
     def test_tree_meeting_value(self):
-        from math import ceil
-
         # Trees of diameter <= 8, one agent of each class at diameter endpoints.
         trees = [nx.path_graph(d + 1) for d in range(1, 9)]
         trees.append(nx.star_graph(4))
@@ -138,6 +135,11 @@ class TestGameValue:
         g = make_complete(4)
         config = Configuration((1,), (0,))
         assert game_value(g, config) == float("inf")
+
+    def test_no_source_is_infinite(self):
+        config = Configuration((0,), ())
+        for objective in ("all_sources", "first_new_source"):
+            assert game_value(make_path(5), config, objective) == float("inf")
 
 
 class TestExtractedPolicies:
@@ -176,6 +178,15 @@ class TestModelChecker:
         res = model_check_policy(g, initial_state([1], [0]), PassiveAdversary())
         assert res.winner == "agents"
 
+    def test_passive_adversary_rounds_on_paths(self):
+        # Every path edge is a bridge, so removing nothing is optimal and the
+        # fixed-adversary round count equals the game value ceil((n-1)/2).
+        for n in range(3, 10):
+            g = make_path(n)
+            res = model_check_policy(g, initial_state([0], [n - 1]), PassiveAdversary())
+            assert res.optimal_rounds == game_value(g, Configuration((0,), (n - 1,)))
+            assert res.optimal_rounds == ceil((n - 1) / 2)
+
 
 class TestStructuralProperties:
     def k_star(self, g, k_max=4):
@@ -206,6 +217,17 @@ class TestStructuralProperties:
         g = make_complete(5)
         with pytest.raises(BudgetExceeded):
             min_agents(g, 4, budget_states=10)
+
+    def test_attractor_cache_hit_returns_same_object(self):
+        g = make_ring(5)
+        assert compute_attractor(g, 3) is compute_attractor(g, 3)
+
+    def test_budget_exceeded_raises_after_cache_hit(self):
+        g = make_complete(4)
+        att = compute_attractor(g, 3)
+        with pytest.raises(BudgetExceeded):
+            compute_attractor(g, 3, budget_states=len(att.states) - 1)
+        assert compute_attractor(g, 3, budget_states=len(att.states)) is att
 
     def test_canonical_sorts_classes(self):
         c = canonical(Configuration((3, 1), (5, 2)))
