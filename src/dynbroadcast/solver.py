@@ -29,10 +29,27 @@ Three questions are asked of such graphs:
   branch per removal; a fixed adversary gives one branch holding every joint
   move.
 
-Adversary branching defaults to spanning trees of the base graph: the
-adversary moves no agents, so shrinking the surviving edge set only shrinks
-the agents' options, and every connected survivor contains a spanning tree.
-The all-subsets mode is retained to test that reduction.
+Adversary branching. The agents at a state see a surviving edge set only
+through its menu: the surviving edges with an endpoint in the occupied set O.
+A smaller menu shrinks every agent's options, so it never helps the agents,
+and only the inclusion-minimal menus of connected survivors need to be
+branches. In the default mode, `spanning_trees`, the branches of a state are
+exactly those, built from O alone and memoised by O:
+
+- keep every edge with no endpoint in O, and contract those edges
+  (union-find); each node of O stays a class of its own;
+- every spanning tree of the contracted multigraph, whose edges are the
+  O-incident edges, gives one branch: the kept edges plus the tree's edges.
+
+Why these are the minimal menus: a menu M is realised by a connected survivor
+iff the kept edges plus M connect the graph, i.e. iff M connects the
+contracted multigraph, so every connected survivor's menu contains a spanning
+tree of it. Two distinct trees have equal size, so their menus are
+incomparable. Every minimal menu is also the menu of a global spanning tree,
+so ranks equal those of branching over every spanning tree of the graph.
+`SolvedAdversaryPolicy` still plays global spanning trees, in a fixed order.
+The `all_subsets` mode branches over every connected removal, unreduced; it
+is the reference the reduction is tested against.
 """
 
 from __future__ import annotations
@@ -115,6 +132,38 @@ def _branch_removals(g: Graph, mode: Mode) -> list[frozenset[Edge]]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozenset[Edge]]:
+    """One surviving edge set per inclusion-minimal menu of the occupied nodes.
+
+    Each is every edge with no endpoint in `occupied`, plus one spanning tree
+    of the multigraph left by contracting those edges (see the module
+    docstring).
+    """
+    kept = frozenset(e for e in g.edges if occupied.isdisjoint(e))
+    parent = list(g.nodes)
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in kept:
+        parent[find(u)] = find(v)
+    label = {r: i for i, r in enumerate(sorted({find(v) for v in g.nodes}))}
+    # Quotient edge -> the parallel occupied-incident edges it stands for. An
+    # occupied node is alone in its class, so no quotient edge is a loop.
+    parallel: dict[Edge, list[Edge]] = {}
+    for u, v in sorted(g.edges - kept):
+        a, b = sorted((label[find(u)], label[find(v)]))
+        parallel.setdefault((a, b), []).append((u, v))
+    quotient = Graph(len(label), frozenset(parallel))
+    return [
+        kept.union(choice)
+        for tree in spanning_trees(quotient)
+        for choice in product(*(parallel[q] for q in sorted(tree)))
+    ]
+
+
 # -- the game graph and its one fixpoint -----------------------------------------
 
 
@@ -195,34 +244,39 @@ def _enumerate_states(n: int, total: int) -> list[CanonicalState]:
 
 
 def _successor_builder(
-    g: Graph, mode: Mode, index: dict[CanonicalState, int]
-) -> tuple[list[frozenset[Edge]], Callable[[CanonicalState, int], tuple[int, ...]]]:
-    """The removals, and successors(state, r): the ids of the canonical states
-    (after conversion) the agents can reach from `state` under removal r."""
+    g: Graph, index: dict[CanonicalState, int]
+) -> tuple[Callable[[frozenset[Edge]], int], Callable[[CanonicalState, int], tuple[int, ...]]]:
+    """intern(survivor): the id of a surviving edge set in this builder's
+    table, and successors(state, id): the ids of the canonical states (after
+    conversion) the agents can reach from `state` over those edges."""
     n = g.node_count
-    removals = _branch_removals(g, mode)
+    survivor_ids: dict[frozenset[Edge], int] = {}
+    # Per-survivor move options per node (stay or cross a surviving edge).
+    opts_per_survivor: list[list[tuple[int, ...]]] = []
 
-    # Per-removal move options per node (stay or cross a surviving edge).
-    opts_per_removal: list[list[tuple[int, ...]]] = []
-    for removed in removals:
-        adj = g.without(removed).adjacency()
-        opts_per_removal.append([(v,) + adj[v] for v in range(n)])
+    def intern(survivor: frozenset[Edge]) -> int:
+        sid = survivor_ids.get(survivor)
+        if sid is None:
+            sid = survivor_ids[survivor] = len(opts_per_survivor)
+            adj = Graph(n, survivor).adjacency()
+            opts_per_survivor.append([(v,) + adj[v] for v in range(n)])
+        return sid
 
-    # Distinct target multisets for a class multiset under a removal.
+    # Distinct target multisets for a class multiset under a survivor.
     multiset_memo: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
 
-    def class_targets(ms: tuple[int, ...], r_idx: int) -> tuple[tuple[int, ...], ...]:
-        got = multiset_memo.get((ms, r_idx))
+    def class_targets(ms: tuple[int, ...], sid: int) -> tuple[tuple[int, ...], ...]:
+        got = multiset_memo.get((ms, sid))
         if got is not None:
             return got
-        opts = opts_per_removal[r_idx]
+        opts = opts_per_survivor[sid]
         results: set[tuple[int, ...]] = {()}
         for v in ms:
             results = {
                 tuple(sorted(rest + (t,))) for rest in results for t in opts[v]
             }
         out = tuple(sorted(results))
-        multiset_memo[(ms, r_idx)] = out
+        multiset_memo[(ms, sid)] = out
         return out
 
     # Post-conversion state index for a (ignorant, source) target multiset pair.
@@ -240,9 +294,9 @@ def _successor_builder(
     # menus arise under many removals of a symmetric graph).
     set_memo: dict[tuple, tuple[int, ...]] = {}
 
-    def successors(st: CanonicalState, r_idx: int) -> tuple[int, ...]:
-        ig_targets = class_targets(st.ignorant, r_idx)
-        src_targets = class_targets(st.source, r_idx)
+    def successors(st: CanonicalState, sid: int) -> tuple[int, ...]:
+        ig_targets = class_targets(st.ignorant, sid)
+        src_targets = class_targets(st.source, sid)
         set_key = (ig_targets, src_targets)
         cached_set = set_memo.get(set_key)
         if cached_set is None:
@@ -261,7 +315,7 @@ def _successor_builder(
             set_memo[set_key] = cached_set
         return cached_set
 
-    return removals, successors
+    return intern, successors
 
 
 def _canonical_graph(
@@ -271,20 +325,38 @@ def _canonical_graph(
     budget_states: int,
     expand: Callable[[CanonicalState], bool],
 ) -> tuple[list[CanonicalState], dict[CanonicalState, int], _GameGraph]:
-    """All canonical states, their ids, and the game graph with one branch per
-    removal at every state `expand` selects."""
+    """All canonical states, their ids, and the game graph with the adversary
+    branches of `mode` at every state `expand` selects."""
     states = _enumerate_states(g.node_count, total_agents)
     if len(states) > budget_states:
         raise BudgetExceeded(
             f"undecided: budget ({len(states)} states > {budget_states})"
         )
     index = {s: i for i, s in enumerate(states)}
-    removals, successors = _successor_builder(g, mode, index)
+    intern, successors = _successor_builder(g, index)
+    if mode == "spanning_trees":
+        by_occupied: dict[frozenset[int], list[int]] = {}
+
+        def branches(st: CanonicalState) -> list[int]:
+            occupied = frozenset(st.ignorant + st.source)
+            got = by_occupied.get(occupied)
+            if got is None:
+                got = by_occupied[occupied] = [
+                    intern(s) for s in _minimal_menu_survivors(g, occupied)
+                ]
+            return got
+
+    else:
+        every = [intern(g.edges - r) for r in _branch_removals(g, mode)]
+
+        def branches(st: CanonicalState) -> list[int]:
+            return every
+
     graph = _GameGraph()
     for s_idx, st in enumerate(states):
         if expand(st):
-            for r_idx in range(len(removals)):
-                graph.add_branch(s_idx, successors(st, r_idx))
+            for sid in branches(st):
+                graph.add_branch(s_idx, successors(st, sid))
     return states, index, graph
 
 
@@ -429,9 +501,9 @@ class SolvedAgentPolicy:
     """Winning joint-move policy read off an attractor.
 
     Each round it enumerates legal joint moves in the surviving graph and picks
-    the one whose successor has the smallest winning rank; any spanning tree of
-    the survivor is a spanning tree of the base graph, so a rank-decreasing
-    move always exists from a winning state.
+    the one whose successor has the smallest winning rank; the menu of any
+    connected survivor contains a minimal menu, so a rank-decreasing move
+    always exists from a winning state.
     """
 
     role = "agents"
@@ -471,9 +543,10 @@ class SolvedAdversaryPolicy:
     def __init__(self, attractor: Attractor, name: str = "solved_adversary"):
         self.attractor = attractor
         self.name = name
-        self._removals, self._successors = _successor_builder(
-            attractor.graph, attractor.mode, attractor.index
-        )
+        g = attractor.graph
+        intern, self._successors = _successor_builder(g, attractor.index)
+        # (removal, survivor id) for every removal of the mode, in order.
+        self._branches = [(r, intern(g.edges - r)) for r in _branch_removals(g, attractor.mode)]
 
     def place(self, base: Graph, k_ignorant: int, k_source: int) -> AgentState:
         att = self.attractor
@@ -488,8 +561,8 @@ class SolvedAdversaryPolicy:
     def decide(self, base: Graph, state: AgentState, memory: Hashable):
         here = canonical(state.config())
         states, rank = self.attractor.states, self.attractor.rank
-        for r_idx, removed in enumerate(self._removals):
-            if not any(states[t] in rank for t in self._successors(here, r_idx)):
+        for removed, sid in self._branches:
+            if not any(states[t] in rank for t in self._successors(here, sid)):
                 return removed, None
         return frozenset(), None  # agent-winning state; nothing to defend
 
@@ -520,11 +593,11 @@ def model_check_policy(
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
-    removals = _branch_removals(g, mode)
     new_cls, _ = _convert(initial.positions, initial.is_source)
     initial = AgentState(initial.positions, new_cls)
 
     if fixed.role == "agents":
+        removals = _branch_removals(g, mode)
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch per removal, holding the policy's single reply.

@@ -161,6 +161,12 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["game_value"] == 1
 
+    def test_grid_4x4_is_decided(self, capsys):
+        # No k <= 2 wins, as the bond lower bound of 3 requires.
+        code, out, _ = run(capsys, "solve", "grid:4x4", "--k-max", "2")
+        assert code == 0
+        assert json.loads(out)["min_agents"] is None
+
     def test_budget_exit_four(self, capsys):
         code, out, _ = run(
             capsys, "solve", "theta:4,4,4", "--k-max", "3", "--budget-states", "10"

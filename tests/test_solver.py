@@ -6,6 +6,8 @@ from math import ceil
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynbroadcast.engine import Configuration, initial_state, simulate
 from dynbroadcast.graph import (
@@ -22,6 +24,7 @@ from dynbroadcast.solver import (
     BudgetExceeded,
     SolvedAdversaryPolicy,
     SolvedAgentPolicy,
+    _minimal_menu_survivors,
     agents_can_win,
     canonical,
     compute_attractor,
@@ -42,6 +45,18 @@ def atlas_graphs(max_nodes=5, min_nodes=2):
         yield Graph(n, frozenset(tuple(sorted(e)) for e in ga.edges()))
 
 
+@st.composite
+def connected_graphs(draw, max_nodes=7, max_edges=12):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, max_nodes))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted({(u, v) for v in range(n) for u in range(v)} - tree)
+    extra = set()
+    if others:
+        extra = draw(st.sets(st.sampled_from(others), max_size=max_edges - len(tree)))
+    return Graph(n, frozenset(tree | extra))
+
+
 class TestBranching:
     def test_spanning_trees_count(self):
         # Cayley: K4 has 16 spanning trees; ring(5) has 5.
@@ -59,6 +74,22 @@ class TestBranching:
         for g in atlas_graphs(max_nodes=4):
             for removed in connected_removals(g):
                 assert g.is_connected(removed)
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_menu_survivors_give_the_minimal_menus(self, g, data):
+        occupied = frozenset(data.draw(st.sets(st.sampled_from(list(g.nodes)), min_size=1)))
+
+        def menu(survivor):
+            return frozenset(e for e in survivor if not occupied.isdisjoint(e))
+
+        menus = {menu(g.edges - removed) for removed in connected_removals(g)}
+        minimal = {m for m in menus if not any(other < m for other in menus)}
+        survivors = _minimal_menu_survivors(g, occupied)
+        assert all(g.is_connected(g.edges - s) for s in survivors)
+        got = [menu(s) for s in survivors]
+        assert len(set(got)) == len(got)
+        assert set(got) == minimal
 
 
 class TestKnownOptima:
@@ -177,6 +208,12 @@ class TestModelChecker:
         g = make_ring(5)
         res = model_check_policy(g, initial_state([1], [0]), PassiveAdversary())
         assert res.winner == "agents"
+
+    def test_fixed_adversary_on_many_edges(self):
+        # complete(7) has 21 edges, more than connected_removals enumerates;
+        # a fixed adversary never needs that list.
+        res = model_check_policy(make_complete(7), initial_state([1], [0]), PassiveAdversary())
+        assert (res.winner, res.optimal_rounds) == ("agents", 1)
 
     def test_passive_adversary_rounds_on_paths(self):
         # Every path edge is a bridge, so removing nothing is optimal and the
