@@ -20,7 +20,7 @@ from math import ceil
 
 import networkx as nx
 
-from .graph import Edge, Graph, is_connected
+from .graph import Edge, Graph, theta_layout
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -192,72 +192,6 @@ class BoundReport:
         return None
 
 
-def _theta_lengths(g: Graph) -> tuple[int, ...] | None:
-    """Internal path lengths if the graph is a generalized theta, else None.
-
-    Trusts family metadata when present, after a structural sanity check;
-    otherwise detects the shape from degrees (exactly two nodes of degree
-    >= 3 joined by internally disjoint paths of degree-2 nodes)."""
-    fam = g.family
-    if fam is not None and fam.kind == "theta":
-        lengths = tuple(fam.params)
-        labels = fam.labels
-        if _theta_matches(g, lengths, labels.get("north", 0), labels.get("south", 1)):
-            return lengths
-    # Structural detection.
-    if g.node_count < 3:
-        return None
-    hubs = [v for v in range(g.node_count) if g.degree(v) >= 3]
-    if len(hubs) == 0:
-        return None
-    if len(hubs) != 2:
-        return None
-    north, south = hubs
-    lengths = _trace_theta_paths(g, north, south)
-    return lengths
-
-
-def _trace_theta_paths(g: Graph, north: int, south: int) -> tuple[int, ...] | None:
-    adjacency = g.adjacency()
-    seen = {north, south}
-    lengths = []
-    for start in adjacency[north]:
-        if start == south:
-            lengths.append(0)
-            continue
-        if start in seen:
-            return None
-        path = [start]
-        prev, cur = north, start
-        while True:
-            if g.degree(cur) != 2:
-                return None
-            nxts = [w for w in adjacency[cur] if w != prev]
-            nxt = nxts[0]
-            if nxt == south:
-                break
-            if nxt in seen or nxt == north:
-                return None
-            path.append(nxt)
-            prev, cur = cur, nxt
-        seen.update(path)
-        lengths.append(len(path))
-    if len(seen) != g.node_count:
-        return None
-    return tuple(sorted(lengths))
-
-
-def _theta_matches(g: Graph, lengths, north, south) -> bool:
-    expected_nodes = sum(lengths) + 2
-    expected_edges = sum(d + 1 for d in lengths)
-    return (
-        g.node_count == expected_nodes
-        and len(g.edges) == expected_edges
-        and g.degree(north) == len(lengths)
-        and g.degree(south) == len(lengths)
-    )
-
-
 def _is_tree(g: Graph) -> bool:
     return len(g.edges) == g.node_count - 1
 
@@ -291,8 +225,9 @@ def bound_report(g: Graph, max_bond_nodes: int = 16) -> BoundReport:
     elif _is_ring(g) and n >= 5:
         entries.append(BoundEntry("ring_exact", "exact", 2))
     else:
-        lengths = _theta_lengths(g)
-        if lengths is not None and all(d >= 3 for d in lengths) and len(lengths) >= 2:
+        layout = theta_layout(g)
+        lengths = () if layout is None else tuple(len(p) for p in layout.paths)
+        if len(lengths) >= 2 and all(d >= 3 for d in lengths):
             entries.append(
                 BoundEntry(
                     "theta_exact",

@@ -22,12 +22,14 @@ from .analysis import (
 )
 from .engine import (
     AgentState,
+    Outcome,
+    RuleViolation,
+    Trace,
     check_trace,
     initial_state,
     simulate,
     trace_from_json,
     trace_to_json,
-    RuleViolation,
 )
 from .graph import (
     Graph,
@@ -43,6 +45,7 @@ from .graph import (
     make_path,
     make_ring,
     make_theta,
+    theta_layout,
 )
 from .policies import make_policy
 from .solver import BudgetExceeded, game_value, min_agents, solvable
@@ -186,12 +189,11 @@ def _parse_placement(
                     return place(g, k, k_source)
                 except Exception:
                     pass
-        fam = g.family
-        if fam is not None and fam.kind in ("theta", "density_family"):
-            paths = fam.labels["paths"]
-            mids = [p[1 + (len(p) - 2) // 2] for p in paths]
-            if k <= len(mids):
-                return initial_state(mids[:k], [fam.labels["north"]])
+        # A path graph is a one-path theta; it keeps the generic placement.
+        layout = theta_layout(g)
+        if layout is not None and 2 <= layout.n_paths and k <= layout.n_paths:
+            mids = [chain[1 + (len(chain) - 2) // 2] for chain in layout.chains]
+            return initial_state(mids[:k], [layout.north])
         nodes = [v for v in range(g.node_count)]
         return initial_state(nodes[1 : k + 1], nodes[:1] + nodes[k + 1 : k + k_source])
     raise ValueError(f"unknown placement {text!r}")
@@ -247,47 +249,48 @@ def cmd_analyze(args, out) -> int:
 def cmd_simulate(args, out) -> int:
     if args.spec:
         spec = json.loads(Path(args.spec).read_text())
-        return _run_experiment(spec, args, out)
-    spec = {
-        "graph": args.graph,
-        "agents": args.agents,
-        "adversary": args.adversary,
-        "k_ignorant": args.k,
-        "k_source": args.k_source,
-        "placement": args.placement,
-        "max_rounds": args.max_rounds,
-        "seed": args.seed,
-    }
-    return _run_experiment(spec, args, out)
+    else:
+        spec = {
+            "graph": args.graph,
+            "agents": args.agents,
+            "adversary": args.adversary,
+            "k_ignorant": args.k,
+            "k_source": args.k_source,
+            "placement": args.placement,
+            "max_rounds": args.max_rounds,
+            "seed": args.seed,
+        }
+    trace = _run_experiment(spec)
+    if args.output:
+        Path(args.output).write_text(trace_to_json(trace))
+    conversions = sum(len(r.conversions) for r in trace.rounds)
+    oc = trace.outcome
+    out.write(
+        f"outcome={oc.kind} {_outcome_detail(oc)} rounds_played={len(trace.rounds)} "
+        f"conversions={conversions}\n"
+    )
+    return _OUTCOME_EXIT[oc.kind]
 
 
-def _run_experiment(spec: dict, args, out, trace_path: str | None = None) -> int:
+def _run_experiment(spec: dict) -> Trace:
+    """Build the graph, both policies and the placement of an experiment spec,
+    and play it. A bare "random_tree" adversary is seeded with the spec's seed."""
     g = _load_graph(spec["graph"])
-    seed = spec.get("seed", 0)
-    agents_spec = spec["agents"]
     adversary_spec = spec["adversary"]
     if "random_tree" in adversary_spec and ":" not in adversary_spec:
-        adversary_spec = f"random_tree:seed={seed}"
-    agents = make_policy(agents_spec, g)
+        adversary_spec = f"random_tree:seed={spec.get('seed', 0)}"
+    agents = make_policy(spec["agents"], g)
     adversary = make_policy(adversary_spec, g)
     k = int(spec.get("k_ignorant", 1))
     k_source = int(spec.get("k_source", 1))
     state = _parse_placement(
         spec.get("placement", "auto"), g, k, k_source, agents, adversary
     )
-    trace = simulate(g, state, agents, adversary, max_rounds=int(spec["max_rounds"]))
-    text = trace_to_json(trace)
-    dest = trace_path or getattr(args, "output", None)
-    if dest:
-        Path(dest).write_text(text)
-    conversions = sum(len(r.conversions) for r in trace.rounds)
-    oc = trace.outcome
-    detail = f"round {oc.round}" if oc.round is not None else f"period {oc.period}"
-    out.write(
-        f"outcome={oc.kind} {detail} rounds_played={len(trace.rounds)} "
-        f"conversions={conversions}\n"
-    )
-    return _OUTCOME_EXIT[oc.kind]
+    return simulate(g, state, agents, adversary, max_rounds=int(spec["max_rounds"]))
+
+
+def _outcome_detail(oc: Outcome) -> str:
+    return f"round {oc.round}" if oc.round is not None else f"period {oc.period}"
 
 
 def cmd_solve(args, out) -> int:
@@ -443,9 +446,20 @@ def cmd_verify(args, out) -> int:
                 f"unknown suite {args.suite!r}; available: {', '.join(_suite_names())}, all"
             )
         for i, spec in enumerate(_SIM_SUITES[suite]):
-            trace_path = str(outdir / f"{suite}_{i}.trace.json") if outdir else None
-            ok, note = _verify_row(spec, args, trace_path)
-            rows.append((spec["name"], ok, note))
+            trace = _run_experiment(spec)
+            check_trace(trace)
+            if outdir:
+                (outdir / f"{suite}_{i}.trace.json").write_text(trace_to_json(trace))
+            oc = trace.outcome
+            expect = spec["expect"]
+            conversions = sum(len(r.conversions) for r in trace.rounds)
+            ok = (
+                oc.kind == expect["kind"]
+                and expect.get("round", oc.round) == oc.round
+                and expect.get("period", oc.period) == oc.period
+                and expect.get("conversions", conversions) == conversions
+            )
+            rows.append((spec["name"], ok, f"{oc.kind} {_outcome_detail(oc)}"))
     width = max(len(name) for name, _, _ in rows)
     failures = 0
     for name, ok, note in rows:
@@ -454,34 +468,6 @@ def cmd_verify(args, out) -> int:
         out.write(f"{name.ljust(width)}  {status}  {note}\n")
     out.write(f"{len(rows) - failures}/{len(rows)} rows passed\n")
     return EXIT_OK if failures == 0 else EXIT_ERROR
-
-
-def _verify_row(spec: dict, args, trace_path: str | None) -> tuple[bool, str]:
-    g = _load_graph(spec["graph"])
-    seed = spec.get("seed", 0)
-    adversary_spec = spec["adversary"]
-    if adversary_spec == "random_tree":
-        adversary_spec = f"random_tree:seed={seed}"
-    agents = make_policy(spec["agents"], g)
-    adversary = make_policy(adversary_spec, g)
-    k = int(spec.get("k_ignorant", 1))
-    state = _parse_placement(spec["placement"], g, k, 1, agents, adversary)
-    trace = simulate(g, state, agents, adversary, max_rounds=int(spec["max_rounds"]))
-    check_trace(trace)
-    if trace_path:
-        Path(trace_path).write_text(trace_to_json(trace))
-    oc = trace.outcome
-    expect = spec["expect"]
-    ok = oc.kind == expect["kind"]
-    if "round" in expect:
-        ok = ok and oc.round == expect["round"]
-    if "period" in expect:
-        ok = ok and oc.period == expect["period"]
-    if "conversions" in expect:
-        total = sum(len(r.conversions) for r in trace.rounds)
-        ok = ok and total == expect["conversions"]
-    detail = f"round {oc.round}" if oc.round is not None else f"period {oc.period}"
-    return ok, f"{oc.kind} {detail}"
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -563,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, RuleViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BudgetExceeded as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

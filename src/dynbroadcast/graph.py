@@ -274,6 +274,134 @@ def make_density_family(n: int, f: int) -> Graph:
     return Graph(g.node_count, g.edges, fam)
 
 
+# -- theta geometry --------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaLayout:
+    """Pole/path coordinates of a generalized theta graph.
+
+    Each path is addressed as a chain (north, v1..vd, south); coordinate 0 is
+    north and d+1 is south. Pole nodes belong to every chain. Equality is
+    identity, so a layout inside a policy memory hashes in O(1).
+    """
+
+    north: int
+    south: int
+    paths: tuple[tuple[int, ...], ...]
+    chains: tuple[tuple[int, ...], ...] = field(init=False)
+    where: dict[int, tuple[int, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        chains = tuple((self.north,) + path + (self.south,) for path in self.paths)
+        where = {
+            v: (p_idx, i)
+            for p_idx, chain in enumerate(chains)
+            for i, v in enumerate(chain[1:-1], start=1)
+        }
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "where", where)
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.paths)
+
+    def is_pole(self, v: int) -> bool:
+        return v == self.north or v == self.south
+
+    def other_pole(self, pole: int) -> int:
+        return self.south if pole == self.north else self.north
+
+    def path_of(self, v: int) -> int | None:
+        """Path index of an internal node; None for poles."""
+        loc = self.where.get(v)
+        return None if loc is None else loc[0]
+
+    def coord(self, p_idx: int, v: int) -> int:
+        return self.chains[p_idx].index(v)
+
+    def step_toward(self, surviving: Graph, v: int, p_idx: int, pole: int) -> int:
+        """Next node from v along chain p_idx toward the pole, staying if the
+        edge is removed or v is already there."""
+        chain = self.chains[p_idx]
+        i = chain.index(v)
+        j = i - 1 if pole == chain[0] else i + 1
+        if j < 0 or j >= len(chain):
+            return v
+        nxt = chain[j]
+        return nxt if surviving.has_edge(v, nxt) else v
+
+
+def theta_layout(g: Graph) -> ThetaLayout | None:
+    """The theta layout of g: two poles joined by internally disjoint paths,
+    each with at least one internal node, that cover every node and edge.
+
+    ``theta``/``density_family`` labels are used only when their chains are
+    exactly the graph's edges. Otherwise the shape is detected from degrees:
+    exactly two nodes of degree >= 3, or a path graph (a one-path theta). A
+    cycle has no distinguished poles, so an unlabelled two-path theta is None.
+    """
+    fam = g.family
+    if fam is not None and fam.kind in ("theta", "density_family"):
+        layout = _labelled_theta(g, fam.labels)
+        if layout is not None:
+            return layout
+    return _structural_theta(g)
+
+
+def _labelled_theta(g: Graph, labels: Mapping[str, Any]) -> ThetaLayout | None:
+    try:
+        layout = ThetaLayout(
+            labels["north"], labels["south"], tuple(tuple(p[1:-1]) for p in labels["paths"])
+        )
+        nodes = sorted([layout.north, layout.south, *(v for p in layout.paths for v in p)])
+        if not all(layout.paths) or nodes != list(g.nodes):
+            return None
+        chain_edges = {_norm_edge(u, v) for c in layout.chains for u, v in zip(c, c[1:])}
+    except (KeyError, TypeError):
+        return None
+    return layout if chain_edges == g.edges else None
+
+
+def _structural_theta(g: Graph) -> ThetaLayout | None:
+    adjacency = g.adjacency()
+    degrees = [len(nbrs) for nbrs in adjacency]
+    hubs = [v for v in g.nodes if degrees[v] >= 3]
+    if len(hubs) == 2:
+        north, south = hubs
+    elif not hubs and len(g.edges) == g.node_count - 1:
+        # Single-path theta: a path graph; poles are its endpoints.
+        ends = [v for v in g.nodes if degrees[v] == 1]
+        if len(ends) != 2:
+            return None
+        north, south = ends
+    else:
+        return None
+    paths = []
+    seen = {north, south}
+    for start in adjacency[north]:
+        if start in seen:
+            return None
+        path = [start]
+        prev, cur = north, start
+        while True:
+            nxts = [w for w in adjacency[cur] if w != prev]
+            if len(nxts) != 1:
+                return None
+            nxt = nxts[0]
+            if nxt == south:
+                break
+            if nxt in seen:
+                return None
+            path.append(nxt)
+            prev, cur = cur, nxt
+        seen.update(path)
+        paths.append(tuple(path))
+    if len(seen) != g.node_count:
+        return None
+    return ThetaLayout(north, south, tuple(paths))
+
+
 # -- surgery -------------------------------------------------------------------
 
 

@@ -17,110 +17,22 @@ import networkx as nx
 
 from .analysis import Bond, min_degree, vertex_connectivity
 from .engine import AgentState, initial_state, step
-from .graph import Edge, Graph, GraphError, grid_node, is_connected
+from .graph import (
+    Edge,
+    Graph,
+    GraphError,
+    ThetaLayout,
+    grid_node,
+    is_connected,
+    theta_layout,
+)
 
 
-# -- theta-graph geometry ----------------------------------------------------------
-
-
-class _Theta:
-    """Pole/path coordinates of a generalized theta graph.
-
-    Each path is addressed as a chain (north, v1..vd, south); coordinate 0 is
-    north and d+1 is south. Pole nodes belong to every chain.
-    """
-
-    def __init__(self, g: Graph):
-        fam = g.family
-        if fam is not None and fam.kind in ("theta", "density_family"):
-            labels = fam.labels
-            self.north = labels["north"]
-            self.south = labels["south"]
-            # Family labels list each path pole-to-pole; keep internals only.
-            self.paths: list[tuple[int, ...]] = [
-                tuple(p[1:-1]) for p in labels["paths"]
-            ]
-        else:
-            detected = _detect_theta(g)
-            if detected is None:
-                raise GraphError("not a generalized theta graph")
-            self.north, self.south, self.paths = detected
-        self.graph = g
-        self.chains = [
-            (self.north,) + path + (self.south,) for path in self.paths
-        ]
-        self.where: dict[int, tuple[int, int]] = {}
-        for p_idx, chain in enumerate(self.chains):
-            for i, v in enumerate(chain[1:-1], start=1):
-                self.where[v] = (p_idx, i)
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
-    def is_pole(self, v: int) -> bool:
-        return v == self.north or v == self.south
-
-    def other_pole(self, pole: int) -> int:
-        return self.south if pole == self.north else self.north
-
-    def path_of(self, v: int) -> int | None:
-        """Path index of an internal node; None for poles."""
-        loc = self.where.get(v)
-        return None if loc is None else loc[0]
-
-    def coord(self, p_idx: int, v: int) -> int:
-        return self.chains[p_idx].index(v)
-
-    def step_toward(self, surviving: Graph, v: int, p_idx: int, pole: int) -> int:
-        """Next node from v along chain p_idx toward the pole, staying if the
-        edge is removed or v is already there."""
-        chain = self.chains[p_idx]
-        i = chain.index(v)
-        j = i - 1 if pole == chain[0] else i + 1
-        if j < 0 or j >= len(chain):
-            return v
-        nxt = chain[j]
-        return nxt if surviving.has_edge(v, nxt) else v
-
-
-def _detect_theta(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
-    degrees = [g.degree(v) for v in range(g.node_count)]
-    hubs = [v for v in range(g.node_count) if degrees[v] >= 3]
-    if len(hubs) == 2:
-        north, south = hubs
-    elif not hubs and len(g.edges) == g.node_count - 1:
-        # Single-path theta: a path graph; poles are its endpoints.
-        ends = [v for v in range(g.node_count) if degrees[v] == 1]
-        if len(ends) != 2:
-            return None
-        north, south = ends
-    else:
-        return None
-    adjacency = g.adjacency()
-    paths = []
-    seen = {north, south}
-    for start in adjacency[north]:
-        if start in seen:
-            return None
-        path = [start]
-        prev, cur = north, start
-        while True:
-            nxts = [w for w in adjacency[cur] if w != prev]
-            if len(nxts) != 1:
-                return None
-            nxt = nxts[0]
-            if nxt == south:
-                break
-            if nxt in seen:
-                return None
-            path.append(nxt)
-            prev, cur = cur, nxt
-        seen.update(path)
-        paths.append(tuple(path))
-    if len(seen) != g.node_count:
-        return None
-    return north, south, paths
+def _require_theta(g: Graph) -> ThetaLayout:
+    layout = theta_layout(g)
+    if layout is None:
+        raise GraphError("not a generalized theta graph")
+    return layout
 
 
 # -- trivial policies --------------------------------------------------------------
@@ -274,11 +186,8 @@ class ThetaBlocker:
     role = "adversary"
     name = "theta_blocker"
 
-    def __init__(self):
-        self._layout: _Theta | None = None
-
     def place(self, base: Graph, k_ignorant: int, k_source: int = 1) -> AgentState:
-        layout = _Theta(base)
+        layout = _require_theta(base)
         if k_ignorant + k_source > layout.n_paths:
             raise ValueError("more agents than paths; blocker inapplicable")
         spots = []
@@ -288,11 +197,10 @@ class ThetaBlocker:
         return initial_state(spots[:k_ignorant], spots[k_ignorant:])
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
-        self._layout = _Theta(base)
-        return None
+        return (_require_theta(base),)
 
-    def decide(self, base: Graph, state: AgentState, memory: Hashable):
-        layout = self._layout if self._layout is not None else _Theta(base)
+    def decide(self, base: Graph, state: AgentState, memory: tuple[ThetaLayout]):
+        layout = memory[0]
         sources = sorted(
             {p for p, s in zip(state.positions, state.is_source) if s}
         )
@@ -602,7 +510,7 @@ class GridFlipflopAdversary:
         return base.edges - kept, 1 - memory
 
 
-# -- theta broadcast: preprocessing + the five-phase algorithm -----------------------
+# -- theta broadcast: the opening phase and the five-phase algorithm -----------------
 
 _PRE, _P1, _P2, _P3, _P4, _P5 = "pre", "1", "2", "3", "4", "5"
 
@@ -619,36 +527,32 @@ class ThetaBroadcastPolicy:
     the number of paths stand still until the tracked subset is exhausted and
     refreshed.
 
-    Memory layout (hashable): (phase, tracked ids, pole identification pairs,
-    phase data, source count at the previous round).
+    Memory layout (hashable): (theta layout, phase, tracked ids, pole
+    identification pairs, phase data, source count at the previous round).
     """
 
     role = "agents"
+    name = "theta_broadcast"
 
-    def __init__(self, k: int | None = None, preprocess_only: bool = False):
+    def __init__(self, k: int | None = None):
         self.k = k
-        self.preprocess_only = preprocess_only
-        self.name = "theta_preprocess" if preprocess_only else "theta_broadcast"
-        self._layout: _Theta | None = None
-        self.done = False  # preprocess termination flag
 
     # -- memory helpers --------------------------------------------------------------
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
-        layout = _Theta(base)
-        self._layout = layout
+        layout = _require_theta(base)
         k_ignorant = sum(1 for s in state.is_source if not s)
         if self.k is not None and self.k != k_ignorant:
             raise ValueError(f"policy built for k={self.k}, state has {k_ignorant}")
-        if k_ignorant < layout.n_paths and not self.preprocess_only:
+        if k_ignorant < layout.n_paths:
             raise ValueError("needs at least one ignorant agent per path")
         tracked = self._fresh_tracked(state, layout)
         ident = self._initial_ident(state, layout, tracked)
         srcs = sum(1 for s in state.is_source if s)
-        return (None, tracked, ident, (), srcs)
+        return (layout, None, tracked, ident, (), srcs)
 
     @staticmethod
-    def _fresh_tracked(state: AgentState, layout: _Theta) -> tuple[int, ...]:
+    def _fresh_tracked(state: AgentState, layout: ThetaLayout) -> tuple[int, ...]:
         ignorant_ids = [i for i, s in enumerate(state.is_source) if not s]
         return tuple(ignorant_ids[: layout.n_paths])
 
@@ -677,8 +581,7 @@ class ThetaBroadcastPolicy:
     # -- per-round bookkeeping ---------------------------------------------------------
 
     def decide(self, surviving: Graph, state: AgentState, memory):
-        layout = self._layout if self._layout is not None else _Theta(surviving)
-        phase, tracked, ident_pairs, data, prev_srcs = memory
+        layout, phase, tracked, ident_pairs, data, prev_srcs = memory
         ident = dict(ident_pairs)
         n_agents = len(state.positions)
         srcs_now = sum(1 for s in state.is_source if s)
@@ -690,13 +593,11 @@ class ThetaBroadcastPolicy:
                 tracked = tuple(remaining[: layout.n_paths])
                 phase = None
             else:
-                return state.positions, (phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
+                return state.positions, (
+                    layout, phase, tracked, tuple(sorted(ident.items())), data, srcs_now
+                )
 
         ctx = _ThetaContext(layout, state, tracked, ident)
-
-        if self.preprocess_only and ctx.preprocess_done():
-            self.done = True
-            return state.positions, (phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
 
         # A conversion re-opens phase selection; so does phase completion.
         if phase is None or srcs_now > prev_srcs:
@@ -722,7 +623,7 @@ class ThetaBroadcastPolicy:
                 ident.setdefault(a, layout.path_of(state.positions[a]))
             elif not layout.is_pole(t) and a in ident:
                 del ident[a]
-        new_mem = (phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
+        new_mem = (layout, phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
         return tuple(full), new_mem
 
     # -- phase selection ----------------------------------------------------------------
@@ -1105,7 +1006,7 @@ class ThetaBroadcastPolicy:
 class _ThetaContext:
     """Read-mostly view of one round's configuration for the theta policy."""
 
-    def __init__(self, layout: _Theta, state: AgentState, tracked, ident):
+    def __init__(self, layout: ThetaLayout, state: AgentState, tracked, ident):
         self.layout = layout
         self.state = state
         self.tracked = tracked
@@ -1208,29 +1109,6 @@ class _ThetaContext:
                 if len(paths) >= 2:
                     return True
         return False
-
-    def preprocess_done(self) -> bool:
-        """One path identified with two sources; every other path has a
-        distinct tracked ignorant agent."""
-        site = self.double_source_site()
-        if site is None:
-            pole_pairs = [
-                pole
-                for pole in (self.layout.north, self.layout.south)
-                if len(self.sources_at(pole)) >= 2
-            ]
-            if not pole_pairs:
-                return False
-        ig_paths = [self.ident_path(a) for a in self.tracked_ignorant()]
-        return None not in ig_paths and len(set(ig_paths)) == len(ig_paths)
-
-
-def theta_broadcast(k: int | None = None) -> ThetaBroadcastPolicy:
-    return ThetaBroadcastPolicy(k=k)
-
-
-def theta_preprocess() -> ThetaBroadcastPolicy:
-    return ThetaBroadcastPolicy(preprocess_only=True)
 
 
 # -- solver-extracted clique and lollipop policies -------------------------------------
@@ -1352,9 +1230,7 @@ def make_policy(spec: str, graph: Graph | None = None):
     if name == "greedy_path":
         return GreedyPathPolicy()
     if name == "theta_broadcast":
-        return theta_broadcast(int(kv["k"]) if "k" in kv else None)
-    if name == "theta_preprocess":
-        return theta_preprocess()
+        return ThetaBroadcastPolicy(int(kv["k"]) if "k" in kv else None)
     if name == "theta_blocker":
         return ThetaBlocker()
     if name == "isolation_tree":

@@ -18,8 +18,11 @@ from dynbroadcast.analysis import (
     vertex_connectivity,
     y_set_diameter,
 )
+from dynbroadcast.engine import initial_state
 from dynbroadcast.graph import (
+    FamilyInfo,
     Graph,
+    GraphError,
     edge_density,
     make_clique_star,
     make_complete,
@@ -29,7 +32,18 @@ from dynbroadcast.graph import (
     make_path,
     make_ring,
     make_theta,
+    theta_layout,
 )
+from dynbroadcast.policies import ThetaBroadcastPolicy
+
+
+def mislabelled_theta() -> Graph:
+    """theta(3,3,3) with edge (3,4) moved to (3,6), keeping the theta labels.
+
+    Node and edge counts and the pole degrees still match the labels, but
+    node 6 now has degree 3 and node 4 degree 1, so it is not a theta."""
+    g = make_theta([3, 3, 3])
+    return Graph(g.node_count, (g.edges - {(3, 4)}) | {(3, 6)}, g.family)
 
 
 def atlas_graphs(max_nodes=5, min_nodes=2):
@@ -173,6 +187,52 @@ class TestBoundReport:
         g0 = make_theta([3, 3, 3])
         g = Graph(g0.node_count, g0.edges)
         assert bound_report(g).exact == 3
+        # Labels and structure give the same layout. A two-path theta is a
+        # cycle, whose poles only the labels can name.
+        shapes = [ds for n in range(1, 5) for ds in itertools.product(range(1, 6), repeat=n)]
+        graphs = [make_theta(ds) for ds in shapes] + [
+            make_density_family(n, f) for n, f in ((6, 1), (8, 3), (10, 2), (11, 3), (14, 4))
+        ]
+        for g0 in graphs:
+            labelled = theta_layout(g0)
+            stripped = theta_layout(Graph(g0.node_count, g0.edges))
+            assert labelled is not None, g0.family
+            if labelled.n_paths == 2:
+                assert stripped is None, g0.family
+                continue
+            assert stripped is not None, g0.family
+            assert (stripped.north, stripped.south, stripped.paths) == (
+                labelled.north,
+                labelled.south,
+                labelled.paths,
+            ), g0.family
+
+    def test_malformed_theta_labels_fall_back_to_structure(self):
+        g0 = make_theta([3, 3, 3])
+        for labels in (
+            {},
+            {"north": 0, "south": 1, "paths": 7},
+            {"north": 0, "south": 1, "paths": [[0, [2], 1]]},
+            dict(g0.family.labels, north=2),
+        ):
+            g = Graph(g0.node_count, g0.edges, FamilyInfo("theta", (3, 3, 3), labels))
+            layout = theta_layout(g)
+            assert layout is not None, labels
+            assert (layout.north, layout.south, layout.paths) == (
+                0,
+                1,
+                ((2, 3, 4), (5, 6, 7), (8, 9, 10)),
+            ), labels
+
+    def test_mislabelled_theta_is_not_a_theta(self):
+        g0, g = make_theta([3, 3, 3]), mislabelled_theta()
+        assert g.is_connected()
+        assert (g.node_count, g.edge_count) == (g0.node_count, g0.edge_count)
+        assert (g.degree(0), g.degree(1)) == (3, 3)
+        assert theta_layout(g) is None
+        assert bound_report(g).by_kind("theta_exact") is None
+        with pytest.raises(GraphError):
+            ThetaBroadcastPolicy().initial_memory(g, initial_state([2, 5, 8], [0]))
 
 
 class TestDensityFormulas:

@@ -1,10 +1,31 @@
 """Command-line interface: subcommands, exit codes, and reproducible output."""
 
+import hashlib
 import json
 
 import pytest
 
 from dynbroadcast.cli import main
+from dynbroadcast.graph import Graph, graph_to_json, make_theta
+from dynbroadcast.solver import BudgetExceeded
+
+# sha256 of every trace file `verify all --output DIR` writes. Any change to
+# a policy, the engine or the trace format that alters one shows up here.
+VERIFY_ALL_TRACE_SHA256 = {
+    "flipflop_0.trace.json": "8e41e57f08836714e9057cdf42aabfbf0df83723071fa67027129d2f77296c41",
+    "theta_0.trace.json": "e5e9cbcdee2c7adb9852258e2dda7280a0dff825f39eb5a9ce8c8649df3bd1f7",
+    "theta_1.trace.json": "12d078adfc4d44e167901944713a7e7050300dfd6d966a7be60b0d22ee2d59e1",
+    "theta_2.trace.json": "f9ead7d9ea37598dc056094fae6bdb8f005123e622857c8b7c56f5c30405b478",
+    "theta_3.trace.json": "24bdb2797df1018eadefa9e409f63dfdc1903b3e039f8ad390e359ac334c2f1d",
+    "theta_4.trace.json": "57547a3f02fb649f7dffd144a6cb9facdaf42dc575ae161d078de3aaaf891fd3",
+    "theta_5.trace.json": "b5dcf7e2515d9624a0ba872bce9b6e61f10a054cac37386b6f32a3ed3fd1a480",
+    "theta_6.trace.json": "d4650884b8d0e614af184e791a0a056cf7e4b045051676929693b89c56fe1cc4",
+    "timing_0.trace.json": "2d576393312db961bf0a1e630556272c9256c9be15b8b619ca2e2ff3bc7b20f1",
+    "timing_1.trace.json": "097148561cf5ce46e439c97adad4e028a2cef058865122749271f08a9f042a85",
+    "timing_2.trace.json": "0149912812900de2d6c5365db00a6b9cbc4df52cd96c43f512eeb26f3077a769",
+    "timing_3.trace.json": "e0f24e826c5e8eef792e957989e364e51ff3e681d7332796d3bc7a57059d1afb",
+    "timing_4.trace.json": "21f5854f7a1ad2fdbbf8d8e1b679c9fe4114229c799bb6f5a50a9ccfcaf46160",
+}
 
 
 def run(capsys, *argv):
@@ -77,6 +98,18 @@ class TestAnalyze:
         assert code == 1
         assert err.strip()
 
+    def test_mislabelled_theta_has_no_theta_bound(self, capsys, tmp_path):
+        # theta(3,3,3) with edge (3,4) moved to (3,6); the labels still say theta.
+        g0 = make_theta([3, 3, 3])
+        g = Graph(g0.node_count, (g0.edges - {(3, 4)}) | {(3, 6)}, g0.family)
+        path = tmp_path / "mislabelled.json"
+        path.write_text(graph_to_json(g))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact"] is None
+        assert "theta_exact" not in [b["kind"] for b in doc["bounds"]]
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -123,6 +156,18 @@ class TestSimulate:
         )
         assert code == 3
         assert "outcome=round_limit_reached" in out
+
+    @pytest.mark.parametrize(
+        "graph,agents", [("complete:4", "clique_policy"), ("lollipop:2,3", "lollipop_policy")]
+    )
+    def test_budget_exit_four(self, capsys, monkeypatch, graph, agents):
+        def refuse(*args, **kwargs):
+            raise BudgetExceeded("undecided: budget (test)")
+
+        monkeypatch.setattr("dynbroadcast.solver.compute_attractor", refuse)
+        code, _, err = run(capsys, "simulate", graph, "--agents", agents, "--k", "2")
+        assert code == 4
+        assert err.startswith("error: budget exceeded: ")
 
     def test_spec_file(self, capsys, tmp_path):
         spec = {
@@ -216,6 +261,13 @@ class TestVerify:
         assert names and names == sorted(p.name for p in d2.iterdir())
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_verify_all_trace_bytes_are_pinned(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "all", "--output", str(tmp_path))
+        assert code == 0
+        assert "18/18 rows passed" in out
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == VERIFY_ALL_TRACE_SHA256
 
     def test_table_reports_all_rows_pass(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "flipflop", "--output", str(tmp_path))

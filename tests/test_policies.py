@@ -124,6 +124,28 @@ class TestThetaBlocker:
         assert trace.outcome.kind != "solved"
 
 
+class TestPolicyReuse:
+    @pytest.mark.parametrize(
+        "make",
+        [ThetaBlocker, lambda: ThetaBroadcastPolicy(k=3)],
+        ids=["theta_blocker", "theta_broadcast"],
+    )
+    def test_second_game_does_not_change_the_first(self, make):
+        # Starting a game on another theta must not change a decision in
+        # a game already under way on the same instance.
+        g1, s1 = theta_start([3, 3, 3])
+        g2, s2 = theta_start([5, 4, 6])
+        reused = make()
+        m1 = reused.initial_memory(g1, s1)
+        reused.initial_memory(g2, s2)
+        fresh = make()
+        got, got_mem = reused.decide(g1, s1, m1)
+        want, want_mem = fresh.decide(g1, s1, fresh.initial_memory(g1, s1))
+        # Memory starts with the theta layout, which compares by identity.
+        assert got == want
+        assert got_mem[1:] == want_mem[1:]
+
+
 class TestGridFlipflop:
     def test_three_by_three_orbit(self):
         g = make_grid(3, 3)
