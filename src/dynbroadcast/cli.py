@@ -48,7 +48,7 @@ from .graph import (
     theta_layout,
 )
 from .policies import make_policy
-from .solver import BudgetExceeded, game_value, min_agents, solvable
+from .solver import DEFAULT_BUDGET_STATES, BudgetExceeded, game_value, min_agents, solvable
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -260,6 +260,7 @@ def cmd_simulate(args, out) -> int:
             "max_rounds": args.max_rounds,
             "seed": args.seed,
         }
+    spec.setdefault("budget_states", args.budget_states)
     trace = _run_experiment(spec)
     if args.output:
         Path(args.output).write_text(trace_to_json(trace))
@@ -274,13 +275,15 @@ def cmd_simulate(args, out) -> int:
 
 def _run_experiment(spec: dict) -> Trace:
     """Build the graph, both policies and the placement of an experiment spec,
-    and play it. A bare "random_tree" adversary is seeded with the spec's seed."""
+    and play it. A bare "random_tree" adversary is seeded with the spec's seed;
+    solver-backed policies get the spec's state budget."""
     g = _load_graph(spec["graph"])
     adversary_spec = spec["adversary"]
     if "random_tree" in adversary_spec and ":" not in adversary_spec:
         adversary_spec = f"random_tree:seed={spec.get('seed', 0)}"
-    agents = make_policy(spec["agents"], g)
-    adversary = make_policy(adversary_spec, g)
+    budget = int(spec.get("budget_states", DEFAULT_BUDGET_STATES))
+    agents = make_policy(spec["agents"], g, budget)
+    adversary = make_policy(adversary_spec, g, budget)
     k = int(spec.get("k_ignorant", 1))
     k_source = int(spec.get("k_source", 1))
     state = _parse_placement(

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Protocol
 
-from .graph import Edge, Graph, GraphError, _norm_edge, graph_from_json, graph_to_json
+from .graph import Edge, Graph, _norm_edge, graph_from_json, graph_to_json
 
 
 class RuleViolation(ValueError):
@@ -124,12 +124,9 @@ class Trace:
 
 
 def validate_removal(g: Graph, removed: Iterable[Edge]) -> bool:
-    """True iff the removal keeps the graph connected."""
-    gone = frozenset(_norm_edge(u, v) for u, v in removed)
-    missing = gone - g.edges
-    if missing:
-        raise GraphError(f"removal contains edges not in graph: {sorted(missing)}")
-    return g.is_connected(gone)
+    """True iff the removal keeps the graph connected; GraphError if it names
+    an edge the graph does not have."""
+    return g.without(removed).is_connected()
 
 
 def legal_targets(surviving: Graph, node: int) -> tuple[int, ...]:
@@ -155,11 +152,18 @@ def step(
     targets: tuple[int, ...],
 ) -> tuple[AgentState, tuple[int, ...]]:
     """Apply one round (after the removal was validated). Returns state and conversion nodes."""
+    return _move(g.without(removed), state, targets)
+
+
+def _move(
+    surviving: Graph, state: AgentState, targets: tuple[int, ...]
+) -> tuple[AgentState, tuple[int, ...]]:
+    """Check every move is stay-or-adjacent in the surviving graph, then move
+    and convert."""
     if len(targets) != state.total:
         raise RuleViolation(
             f"move count {len(targets)} does not cover the {state.total} agents"
         )
-    surviving = g.without(removed)
     adj = surviving.adjacency()
     for i, (src, dst) in enumerate(zip(state.positions, targets)):
         if dst != src and dst not in adj[src]:
@@ -179,7 +183,8 @@ def apply_round(
     The multiset of 'from' nodes per class must equal the configuration, so
     every agent moves exactly once.
     """
-    if not validate_removal(g, removed):
+    surviving = g.without(removed)
+    if not surviving.is_connected():
         raise RuleViolation("removal disconnects the graph")
     ig_moves, src_moves = moves
     if tuple(sorted(f for f, _ in ig_moves)) != config.ignorant:
@@ -191,7 +196,7 @@ def apply_round(
         tuple([False] * len(ig_moves) + [True] * len(src_moves)),
     )
     targets = tuple(t for _, t in ig_moves) + tuple(t for _, t in src_moves)
-    new_state, conversions = step(g, state, removed, targets)
+    new_state, conversions = _move(surviving, state, targets)
     return new_state.config(), conversions
 
 
@@ -204,12 +209,11 @@ def _pairwise_contraction_check(
     # Distance between two specific agents decreases by at most 2 per round,
     # measured in that round's surviving graph.
     n = len(before)
-    dist_before = {p: surviving.distances_from(p) for p in set(before)}
-    dist_after = {p: surviving.distances_from(p) for p in set(after)}
+    dist = {p: surviving.distances_from(p) for p in set(before) | set(after)}
     for i in range(n):
         for j in range(i + 1, n):
-            d0 = dist_before[before[i]][before[j]]
-            d1 = dist_after[after[i]][after[j]]
+            d0 = dist[before[i]][before[j]]
+            d1 = dist[after[i]][after[j]]
             if d1 < d0 - 2:
                 raise AssertionError(
                     f"distance between agents {i},{j} contracted by more than 2"
@@ -253,14 +257,14 @@ def simulate(
         seen[key] = round_index - 1
 
         removed, adv_mem = adversary.decide(g, state, adv_mem)
-        if not validate_removal(g, removed):
+        surviving = g.without(removed)
+        if not surviving.is_connected():
             raise RuleViolation(
                 f"adversary {adversary.name} removal disconnects graph at round {round_index}"
             )
-        surviving = g.without(removed)
         try:
             targets, agent_mem = agents.decide(surviving, state, agent_mem)
-            new_state, conversions = step(g, state, removed, targets)
+            new_state, conversions = _move(surviving, state, targets)
         except RuleViolation as exc:
             raise RuleViolation(f"round {round_index}: {exc}") from exc
         if check_contraction:
@@ -296,14 +300,13 @@ def check_trace(trace: Trace) -> None:
     """Independently re-validate every stored round (removal + move legality)."""
     state = trace.initial
     for rec in trace.rounds:
-        if not validate_removal(trace.graph, rec.removed_edges):
+        surviving = trace.graph.without(rec.removed_edges)
+        if not surviving.is_connected():
             raise RuleViolation(f"round {rec.round_index}: removal disconnects")
         before = tuple(f for f, _ in rec.moves)
         if before != state.positions:
             raise RuleViolation(f"round {rec.round_index}: moves do not match positions")
-        state, conversions = step(
-            trace.graph, state, rec.removed_edges, tuple(t for _, t in rec.moves)
-        )
+        state, conversions = _move(surviving, state, tuple(t for _, t in rec.moves))
         if conversions != rec.conversions:
             raise RuleViolation(f"round {rec.round_index}: conversion record mismatch")
     if trace.outcome is not None and trace.outcome.kind == "solved":

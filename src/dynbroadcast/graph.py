@@ -37,11 +37,18 @@ class FamilyInfo:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple connected graph on nodes 0..node_count-1."""
+    """Undirected simple connected graph on nodes 0..node_count-1.
+
+    ``adjacency()`` is memoised on the instance. That is safe because the
+    graph is frozen; the memo takes no part in equality, hashing or repr.
+    """
 
     node_count: int
     edges: frozenset[Edge]
     family: FamilyInfo | None = field(default=None, compare=False, hash=False)
+    _adjacency: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -61,11 +68,15 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        adj = self._adjacency
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.node_count)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(tuple(sorted(nbrs)) for nbrs in lists)
+            object.__setattr__(self, "_adjacency", adj)
+        return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency()[v]
@@ -79,7 +90,9 @@ class Graph:
     # -- connectivity and metrics --------------------------------------------
 
     def is_connected(self, removed: frozenset[Edge] | None = None) -> bool:
-        return is_connected(self.node_count, self.edges - (removed or frozenset()))
+        if removed:
+            return is_connected(self.node_count, self.edges - removed)
+        return _spans(self.adjacency())
 
     def without(self, removed: Iterable[Edge]) -> "Graph":
         """Surviving graph after an edge removal; keeps the family annotation."""
@@ -123,6 +136,12 @@ def is_connected(node_count: int, edges: Iterable[Edge]) -> bool:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return _spans(adj)
+
+
+def _spans(adj) -> bool:
+    """True iff a walk from node 0 over adjacency lists reaches every node."""
+    node_count = len(adj)
     seen = [False] * node_count
     seen[0] = True
     stack = [0]
@@ -480,6 +499,8 @@ def graph_from_json(text: str) -> Graph:
         )
     edges = frozenset(_norm_edge(u, v) for u, v in doc["edges"])
     g = Graph(doc["nodes"], edges, fam)
+    if not g.is_connected():
+        raise GraphError("graph is not connected")
     if fam is not None:
         _check_label_nodes(g)
     return g

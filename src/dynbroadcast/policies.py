@@ -13,8 +13,6 @@ import random
 from itertools import combinations
 from typing import Hashable
 
-import networkx as nx
-
 from .analysis import Bond, min_degree, vertex_connectivity
 from .engine import AgentState, initial_state, step
 from .graph import (
@@ -26,6 +24,7 @@ from .graph import (
     is_connected,
     theta_layout,
 )
+from .solver import DEFAULT_BUDGET_STATES
 
 
 def _require_theta(g: Graph) -> ThetaLayout:
@@ -153,13 +152,17 @@ class GreedyPathPolicy:
         )
         if not ignorant_nodes:
             return state.positions, None
-        h = nx.Graph()
-        h.add_nodes_from(range(surviving.node_count))
-        h.add_edges_from(sorted(surviving.edges))
+        adj = surviving.adjacency()
+        dist = surviving.distances_from(source)
         ig_set = set(ignorant_nodes)
         best = None  # (-count, agent node, path)
         for a in ignorant_nodes:
-            path = min(tuple(p) for p in nx.all_shortest_paths(h, a, source))
+            # Lexicographically smallest shortest path: from every node, the
+            # smallest neighbour one step closer to the source.
+            path = [a]
+            while path[-1] != source:
+                v = path[-1]
+                path.append(min(w for w in adj[v] if dist[w] == dist[v] - 1))
             count = sum(1 for v in path if v in ig_set)
             cand = (-count, a, path)
             if best is None or cand < best:
@@ -1120,8 +1123,9 @@ class CliquePolicy:
 
     role = "agents"
 
-    def __init__(self, max_nodes: int = 6):
+    def __init__(self, max_nodes: int = 6, budget_states: int = DEFAULT_BUDGET_STATES):
         self.max_nodes = max_nodes
+        self.budget_states = budget_states
         self.name = "clique_policy"
         self._inner = None
 
@@ -1133,7 +1137,7 @@ class CliquePolicy:
             raise GraphError("clique policy requires a complete graph")
         if n > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        att = compute_attractor(base, len(state.positions))
+        att = compute_attractor(base, len(state.positions), budget_states=self.budget_states)
         self._inner = SolvedAgentPolicy(att)
         return None
 
@@ -1148,8 +1152,9 @@ class LollipopPolicy:
 
     role = "agents"
 
-    def __init__(self, max_nodes: int = 6):
+    def __init__(self, max_nodes: int = 6, budget_states: int = DEFAULT_BUDGET_STATES):
         self.max_nodes = max_nodes
+        self.budget_states = budget_states
         self.name = "lollipop_policy"
         self._clique_nodes: tuple[int, ...] | None = None
         self._junction: int | None = None
@@ -1167,7 +1172,9 @@ class LollipopPolicy:
         c = len(self._clique_nodes)
         if c > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        self._att = compute_attractor(make_complete(c), len(state.positions))
+        self._att = compute_attractor(
+            make_complete(c), len(state.positions), budget_states=self.budget_states
+        )
         return None
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
@@ -1211,10 +1218,13 @@ class LollipopPolicy:
 # -- CLI-facing registry -----------------------------------------------------------------
 
 
-def make_policy(spec: str, graph: Graph | None = None):
+def make_policy(
+    spec: str, graph: Graph | None = None, budget_states: int = DEFAULT_BUDGET_STATES
+):
     """Build a policy from a name[:params] string, e.g. "theta_broadcast",
     "grid_flipflop:3x3", "random_tree:seed=7", "bond_blocker" (largest
-    matching bond of the given graph)."""
+    matching bond of the given graph). Solver-backed policies build their
+    attractor within `budget_states`."""
     name, _, params = spec.partition(":")
     kv = {}
     if params and "=" in params:
@@ -1236,9 +1246,9 @@ def make_policy(spec: str, graph: Graph | None = None):
     if name == "isolation_tree":
         return IsolationTreeAdversary()
     if name == "clique_policy":
-        return CliquePolicy(int(kv.get("max_nodes", 6)))
+        return CliquePolicy(int(kv.get("max_nodes", 6)), budget_states)
     if name == "lollipop_policy":
-        return LollipopPolicy(int(kv.get("max_nodes", 6)))
+        return LollipopPolicy(int(kv.get("max_nodes", 6)), budget_states)
     if name == "grid_flipflop":
         rows, _, cols = params.partition("x")
         return GridFlipflopAdversary(int(rows), int(cols))

@@ -62,7 +62,7 @@ from typing import Callable, Hashable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from .engine import AgentState, Configuration, _convert, initial_state, step
+from .engine import AgentState, Configuration, _convert, _move, initial_state
 from .graph import Edge, Graph, is_connected
 
 DEFAULT_BUDGET_STATES = 300_000
@@ -597,14 +597,14 @@ def model_check_policy(
     initial = AgentState(initial.positions, new_cls)
 
     if fixed.role == "agents":
-        removals = _branch_removals(g, mode)
+        survivors = [g.without(r) for r in _branch_removals(g, mode)]
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch per removal, holding the policy's single reply.
             out = []
-            for removed in removals:
-                targets, mem2 = fixed.decide(g.without(removed), state, mem)
-                out.append([(step(g, state, removed, targets)[0], mem2)])
+            for surviving in survivors:
+                targets, mem2 = fixed.decide(surviving, state, mem)
+                out.append([(_move(surviving, state, targets)[0], mem2)])
             return out
 
     else:

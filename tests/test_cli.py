@@ -7,7 +7,6 @@ import pytest
 
 from dynbroadcast.cli import main
 from dynbroadcast.graph import Graph, graph_to_json, make_theta
-from dynbroadcast.solver import BudgetExceeded
 
 # sha256 of every trace file `verify all --output DIR` writes. Any change to
 # a policy, the engine or the trace format that alters one shows up here.
@@ -117,6 +116,14 @@ class TestAnalyze:
         assert code == 1
         assert "malformed" in err
 
+    def test_disconnected_graph_is_diagnostic(self, capsys, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"nodes": 4, "edges": [[0, 1], [2, 3]]}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: graph is not connected\n"
+
 
 class TestSimulate:
     def test_solved_exit_zero(self, capsys, tmp_path):
@@ -160,14 +167,15 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "graph,agents", [("complete:4", "clique_policy"), ("lollipop:2,3", "lollipop_policy")]
     )
-    def test_budget_exit_four(self, capsys, monkeypatch, graph, agents):
-        def refuse(*args, **kwargs):
-            raise BudgetExceeded("undecided: budget (test)")
-
-        monkeypatch.setattr("dynbroadcast.solver.compute_attractor", refuse)
-        code, _, err = run(capsys, "simulate", graph, "--agents", agents, "--k", "2")
+    def test_budget_exit_four(self, capsys, graph, agents):
+        # --budget-states reaches the attractor the solver-backed policies build.
+        argv = ["simulate", graph, "--agents", agents, "--adversary", "random_tree", "--k", "2"]
+        code, _, err = run(capsys, *argv, "--budget-states", "1")
         assert code == 4
         assert err.startswith("error: budget exceeded: ")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "outcome=solved" in out
 
     def test_spec_file(self, capsys, tmp_path):
         spec = {

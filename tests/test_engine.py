@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dynbroadcast.engine import (
     AgentState,
+    _pairwise_contraction_check,
     Configuration,
     RuleViolation,
     apply_round,
@@ -19,7 +20,7 @@ from dynbroadcast.engine import (
     trace_to_json,
     validate_removal,
 )
-from dynbroadcast.graph import make_complete, make_path, make_ring, make_theta
+from dynbroadcast.graph import GraphError, make_complete, make_path, make_ring, make_theta
 from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
 
 
@@ -227,3 +228,69 @@ class TestPairContraction:
             check_contraction=True,  # raises internally on violation
         )
         assert trace.outcome.kind in ("solved", "adversary_cycle", "round_limit_reached")
+
+    def test_direct_check_catches_contraction_by_three(self):
+        # Only the last pair (agents 1 and 2) contracts, 6 -> 3, and node 3
+        # appears only among the positions after the move.
+        g = make_path(10)
+        with pytest.raises(AssertionError, match="agents 1,2"):
+            _pairwise_contraction_check(g, (9, 0, 6), (9, 0, 3))
+        _pairwise_contraction_check(g, (9, 0, 6), (9, 0, 4))
+
+
+class _FixedRemoval:
+    """Adversary that removes the same edge set every round."""
+
+    role = "adversary"
+    name = "fixed_removal"
+
+    def __init__(self, removed):
+        self.removed = frozenset(removed)
+
+    def initial_memory(self, base, state):
+        return None
+
+    def decide(self, base, state, memory):
+        return self.removed, None
+
+
+class TestRemovalErrors:
+    def play(self, removed):
+        return simulate(
+            make_path(4),
+            initial_state([0], [3]),
+            TowardSourcePolicy(),
+            _FixedRemoval(removed),
+            max_rounds=10,
+        )
+
+    def tampered_trace(self, removed):
+        trace = simulate(
+            make_path(4),
+            initial_state([0], [3]),
+            TowardSourcePolicy(),
+            PassiveAdversary(),
+            max_rounds=10,
+        )
+        object.__setattr__(trace.rounds[0], "removed_edges", frozenset(removed))
+        return trace
+
+    def test_simulate_rejects_non_edge(self):
+        with pytest.raises(GraphError):
+            self.play([(0, 2)])
+
+    def test_simulate_rejects_disconnecting_removal(self):
+        with pytest.raises(RuleViolation, match="disconnects"):
+            self.play([(1, 2)])
+
+    def test_check_trace_rejects_non_edge(self):
+        with pytest.raises(GraphError):
+            check_trace(self.tampered_trace([(0, 2)]))
+
+    def test_check_trace_rejects_disconnecting_removal(self):
+        with pytest.raises(RuleViolation, match="disconnects"):
+            check_trace(self.tampered_trace([(1, 2)]))
+
+    def test_validate_removal_rejects_non_edge(self):
+        with pytest.raises(GraphError):
+            validate_removal(make_ring(5), [(0, 2)])

@@ -256,3 +256,40 @@ class TestSurgery:
         contracted, _ = contract_cut_edges(g)
         assert contracted.node_count == 1
         assert contracted.edge_count == 0
+
+
+class TestAdjacencyMemo:
+    def test_repeat_call_returns_same_object(self):
+        g = make_theta([3, 3, 3])
+        assert g.adjacency() is g.adjacency()
+
+    def test_survivor_adjacency_matches_fresh_rebuild(self):
+        g = make_grid(3, 3)
+        g.adjacency()  # a memo on the base graph must not leak into survivors
+        for r in range(3):
+            for gone in itertools.combinations(sorted(g.edges), r):
+                surviving = g.without(gone)
+                fresh = [[] for _ in g.nodes]
+                for u, v in surviving.edges:
+                    fresh[u].append(v)
+                    fresh[v].append(u)
+                assert surviving.adjacency() == tuple(tuple(sorted(n)) for n in fresh)
+                assert surviving.is_connected() == is_connected(
+                    g.node_count, surviving.edges
+                )
+
+    def test_equality_hash_and_repr_ignore_memo(self):
+        g = make_ring(6)
+        twin = Graph(g.node_count, g.edges, g.family)
+        before = repr(g)
+        g.adjacency()
+        assert g == twin
+        assert hash(g) == hash(twin)
+        assert repr(g) == before == repr(twin)
+        assert {g: 1}[twin] == 1
+
+
+class TestGraphFromJson:
+    def test_disconnected_graph_rejected(self):
+        with pytest.raises(GraphError, match="graph is not connected"):
+            graph_from_json(json.dumps({"nodes": 4, "edges": [[0, 1], [2, 3]]}))

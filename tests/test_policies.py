@@ -1,5 +1,8 @@
 """Agent and adversary strategies: legality, placements, and outcomes."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
 from dynbroadcast.engine import RuleViolation, initial_state, simulate, validate_removal
@@ -187,6 +190,50 @@ class TestBondBlocker:
         state = adv.place(g, 1, 1)
         trace = simulate(g, state, TowardSourcePolicy(), adv, max_rounds=100)
         assert trace.outcome.kind != "solved"
+
+
+def networkx_greedy_targets(g, state):
+    """GreedyPathPolicy's moves with the path picked by networkx, as the
+    policy originally did: the lexicographically smallest shortest path."""
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_edges_from(sorted(g.edges))
+    source = next(p for p, s in zip(state.positions, state.is_source) if s)
+    ignorant = sorted({p for p, s in zip(state.positions, state.is_source) if not s})
+    best = None
+    for a in ignorant:
+        path = min(tuple(p) for p in nx.all_shortest_paths(h, a, source))
+        cand = (-sum(1 for v in path if v in ignorant), a, path)
+        if best is None or cand < best:
+            best = cand
+    path = best[2]
+    step_to = dict(zip(path, path[1:]))
+    return tuple(
+        (path[-2] if p == source and len(path) > 1 else p) if s else step_to.get(p, p)
+        for p, s in zip(state.positions, state.is_source)
+    )
+
+
+class TestGreedyPath:
+    def test_matches_networkx_on_small_connected_graphs(self):
+        """Every connected atlas graph with at most 6 nodes, every source node
+        and every nonempty ignorant set."""
+        policy = GreedyPathPolicy()
+        checked = 0
+        for ga in nx.graph_atlas_g()[1:]:
+            n = ga.number_of_nodes()
+            if n < 2 or n > 6 or not nx.is_connected(ga):
+                continue
+            g = Graph(n, frozenset(tuple(sorted(e)) for e in ga.edges()))
+            for source in g.nodes:
+                others = [v for v in g.nodes if v != source]
+                for r in range(1, len(others) + 1):
+                    for ignorant in itertools.combinations(others, r):
+                        state = initial_state(ignorant, [source])
+                        targets, _ = policy.decide(g, state, None)
+                        assert targets == networkx_greedy_targets(g, state)
+                        checked += 1
+        assert checked == 22595
 
 
 class TestCliqueAndLollipop:
