@@ -260,8 +260,7 @@ def cmd_simulate(args, out) -> int:
             "max_rounds": args.max_rounds,
             "seed": args.seed,
         }
-    spec.setdefault("budget_states", args.budget_states)
-    trace = _run_experiment(spec)
+    trace = _run_experiment(spec, args.budget_states)
     if args.output:
         Path(args.output).write_text(trace_to_json(trace))
     conversions = sum(len(r.conversions) for r in trace.rounds)
@@ -273,17 +272,16 @@ def cmd_simulate(args, out) -> int:
     return _OUTCOME_EXIT[oc.kind]
 
 
-def _run_experiment(spec: dict) -> Trace:
+def _run_experiment(spec: dict, budget_states: int = DEFAULT_BUDGET_STATES) -> Trace:
     """Build the graph, both policies and the placement of an experiment spec,
     and play it. A bare "random_tree" adversary is seeded with the spec's seed;
-    solver-backed policies get the spec's state budget."""
+    solver-backed policies build their attractor within `budget_states`."""
     g = _load_graph(spec["graph"])
     adversary_spec = spec["adversary"]
     if "random_tree" in adversary_spec and ":" not in adversary_spec:
         adversary_spec = f"random_tree:seed={spec.get('seed', 0)}"
-    budget = int(spec.get("budget_states", DEFAULT_BUDGET_STATES))
-    agents = make_policy(spec["agents"], g, budget)
-    adversary = make_policy(adversary_spec, g, budget)
+    agents = make_policy(spec["agents"], g, budget_states)
+    adversary = make_policy(adversary_spec, g, budget_states)
     k = int(spec.get("k_ignorant", 1))
     k_source = int(spec.get("k_source", 1))
     state = _parse_placement(

@@ -13,6 +13,7 @@ import random
 from itertools import combinations
 from typing import Hashable
 
+from . import solver
 from .analysis import Bond, min_degree, vertex_connectivity
 from .engine import AgentState, initial_state, step
 from .graph import (
@@ -22,9 +23,13 @@ from .graph import (
     ThetaLayout,
     grid_node,
     is_connected,
+    make_complete,
     theta_layout,
 )
-from .solver import DEFAULT_BUDGET_STATES
+
+# Solver names are read through the module, not imported by name: perfbench's
+# tracer wraps `decide` on every policy class in this module and in `solver`,
+# so SolvedAgentPolicy imported here would be wrapped and counted twice.
 
 
 def _require_theta(g: Graph) -> ThetaLayout:
@@ -1123,22 +1128,24 @@ class CliquePolicy:
 
     role = "agents"
 
-    def __init__(self, max_nodes: int = 6, budget_states: int = DEFAULT_BUDGET_STATES):
+    def __init__(
+        self, max_nodes: int = 6, budget_states: int = solver.DEFAULT_BUDGET_STATES
+    ):
         self.max_nodes = max_nodes
         self.budget_states = budget_states
         self.name = "clique_policy"
         self._inner = None
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
-        from .solver import SolvedAgentPolicy, compute_attractor
-
         n = base.node_count
         if len(base.edges) != n * (n - 1) // 2:
             raise GraphError("clique policy requires a complete graph")
         if n > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        att = compute_attractor(base, len(state.positions), budget_states=self.budget_states)
-        self._inner = SolvedAgentPolicy(att)
+        att = solver.compute_attractor(
+            base, len(state.positions), budget_states=self.budget_states
+        )
+        self._inner = solver.SolvedAgentPolicy(att)
         return None
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
@@ -1152,7 +1159,9 @@ class LollipopPolicy:
 
     role = "agents"
 
-    def __init__(self, max_nodes: int = 6, budget_states: int = DEFAULT_BUDGET_STATES):
+    def __init__(
+        self, max_nodes: int = 6, budget_states: int = solver.DEFAULT_BUDGET_STATES
+    ):
         self.max_nodes = max_nodes
         self.budget_states = budget_states
         self.name = "lollipop_policy"
@@ -1161,9 +1170,6 @@ class LollipopPolicy:
         self._att = None
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
-        from .solver import compute_attractor
-        from .graph import make_complete
-
         fam = base.family
         if fam is None or fam.kind != "lollipop":
             raise GraphError("lollipop policy requires a lollipop graph")
@@ -1172,7 +1178,7 @@ class LollipopPolicy:
         c = len(self._clique_nodes)
         if c > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        self._att = compute_attractor(
+        self._att = solver.compute_attractor(
             make_complete(c), len(state.positions), budget_states=self.budget_states
         )
         return None
@@ -1197,8 +1203,6 @@ class LollipopPolicy:
                     )
             return tuple(targets), memory
 
-        from .solver import SolvedAgentPolicy
-
         relabel = {v: i for i, v in enumerate(self._clique_nodes)}
         back = dict(enumerate(self._clique_nodes))
         inner_edges = frozenset(
@@ -1210,7 +1214,7 @@ class LollipopPolicy:
         inner_state = AgentState(
             tuple(relabel[p] for p in state.positions), state.is_source
         )
-        inner = SolvedAgentPolicy(self._att)
+        inner = solver.SolvedAgentPolicy(self._att)
         inner_targets, _ = inner.decide(inner_surviving, inner_state, None)
         return tuple(back[t] for t in inner_targets), memory
 
@@ -1219,7 +1223,7 @@ class LollipopPolicy:
 
 
 def make_policy(
-    spec: str, graph: Graph | None = None, budget_states: int = DEFAULT_BUDGET_STATES
+    spec: str, graph: Graph | None = None, budget_states: int = solver.DEFAULT_BUDGET_STATES
 ):
     """Build a policy from a name[:params] string, e.g. "theta_broadcast",
     "grid_flipflop:3x3", "random_tree:seed=7", "bond_blocker" (largest

@@ -177,6 +177,37 @@ class TestSimulate:
         assert code == 0
         assert "outcome=solved" in out
 
+    def test_default_budget_is_the_flag_default(self, capsys, monkeypatch):
+        # Without --budget-states, simulate hands the solver-backed policies the
+        # same 2,000,000-state budget that solve uses.
+        from dynbroadcast import solver
+
+        budgets = []
+        real = solver.compute_attractor
+
+        def spy(*args, budget_states, **kwargs):
+            budgets.append(budget_states)
+            return real(*args, budget_states=budget_states, **kwargs)
+
+        monkeypatch.setattr(solver, "compute_attractor", spy)
+        code, _, _ = run(capsys, "simulate", "complete:4", "--agents", "clique_policy", "--k", "2")
+        assert code == 0
+        assert budgets == [2_000_000]
+
+    def test_budget_flag_applies_to_spec_file(self, capsys, tmp_path):
+        spec = {
+            "graph": "complete:4",
+            "agents": "clique_policy",
+            "adversary": "random_tree",
+            "k_ignorant": 2,
+            "max_rounds": 50,
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "simulate", "--spec", str(path), "--budget-states", "1")
+        assert code == 4
+        assert err.startswith("error: budget exceeded: ")
+
     def test_spec_file(self, capsys, tmp_path):
         spec = {
             "graph": "path:5",
