@@ -209,7 +209,14 @@ def _is_ring(g: Graph) -> bool:
 
 def bound_report(g: Graph, max_bond_nodes: int = 16) -> BoundReport:
     """Certified bounds on the minimum number of ignorant agents the agents
-    need so that broadcast is forced from every starting placement."""
+    need so that broadcast is forced from every starting placement.
+
+    `clique_star_exact` is n - 2λ + 1. The exact solver confirms it on
+    clique_star(5,2) and (7,2). It disproves it for λ = 1, where the graph is
+    K_n and k* = n - 2, and on windmills (blocks of 2 nodes) with λ >= 3,
+    where k* = 3 on (7,3) and 4 on (9,4). The entry is left out on both. On
+    the other instances, such as (9,2), the solver has not checked it.
+    """
     report = BoundReport(g)
     entries = report.entries
     n = g.node_count
@@ -248,7 +255,8 @@ def bound_report(g: Graph, max_bond_nodes: int = 16) -> BoundReport:
                 )
     if fam is not None and fam.kind == "clique_star":
         n_total, lam = fam.params
-        if n_total == n:
+        windmill = (n - 1) // lam == 2
+        if n_total == n and lam >= 2 and not (windmill and lam > 2):
             entries.append(
                 BoundEntry(
                     "clique_star_exact", "exact", n - 2 * lam + 1, certificate=(lam,)

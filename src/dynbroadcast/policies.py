@@ -1124,7 +1124,8 @@ class _ThetaContext:
 
 class CliquePolicy:
     """Winning policy for complete graphs, read off the exact solver's
-    attractor (the underlying constructive strategy is cited, not included)."""
+    attractor (the underlying constructive strategy is cited, not included).
+    The attractor is the policy's memory."""
 
     role = "agents"
 
@@ -1134,7 +1135,6 @@ class CliquePolicy:
         self.max_nodes = max_nodes
         self.budget_states = budget_states
         self.name = "clique_policy"
-        self._inner = None
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
         n = base.node_count
@@ -1142,20 +1142,20 @@ class CliquePolicy:
             raise GraphError("clique policy requires a complete graph")
         if n > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        att = solver.compute_attractor(
+        return solver.compute_attractor(
             base, len(state.positions), budget_states=self.budget_states
         )
-        self._inner = solver.SolvedAgentPolicy(att)
-        return None
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
-        return self._inner.decide(surviving, state, memory)
+        targets, _ = solver.SolvedAgentPolicy(memory).decide(surviving, state, None)
+        return targets, memory
 
 
 class LollipopPolicy:
     """First marches every path-resident agent into the clique (path edges are
     bridges, so those moves can never be blocked), then plays the extracted
-    clique strategy on the clique subgraph."""
+    clique strategy on the clique subgraph. Memory is (clique attractor,
+    clique nodes, junction)."""
 
     role = "agents"
 
@@ -1165,30 +1165,27 @@ class LollipopPolicy:
         self.max_nodes = max_nodes
         self.budget_states = budget_states
         self.name = "lollipop_policy"
-        self._clique_nodes: tuple[int, ...] | None = None
-        self._junction: int | None = None
-        self._att = None
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
         fam = base.family
         if fam is None or fam.kind != "lollipop":
             raise GraphError("lollipop policy requires a lollipop graph")
-        self._clique_nodes = tuple(sorted(fam.labels["clique"]))
-        self._junction = fam.labels["junction"]
-        c = len(self._clique_nodes)
+        clique_nodes = tuple(sorted(fam.labels["clique"]))
+        c = len(clique_nodes)
         if c > self.max_nodes:
             raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        self._att = solver.compute_attractor(
+        att = solver.compute_attractor(
             make_complete(c), len(state.positions), budget_states=self.budget_states
         )
-        return None
+        return att, clique_nodes, fam.labels["junction"]
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
-        clique = set(self._clique_nodes)
+        att, clique_nodes, junction = memory
+        clique = set(clique_nodes)
         outside = [a for a, p in enumerate(state.positions) if p not in clique]
         if outside:
             # Walk toward the junction; every path edge survives.
-            dist = surviving.distances_from(self._junction)
+            dist = surviving.distances_from(junction)
             targets = []
             for a, pos in enumerate(state.positions):
                 if pos in clique:
@@ -1203,8 +1200,8 @@ class LollipopPolicy:
                     )
             return tuple(targets), memory
 
-        relabel = {v: i for i, v in enumerate(self._clique_nodes)}
-        back = dict(enumerate(self._clique_nodes))
+        relabel = {v: i for i, v in enumerate(clique_nodes)}
+        back = dict(enumerate(clique_nodes))
         inner_edges = frozenset(
             (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
             for (u, v) in surviving.edges
@@ -1214,7 +1211,7 @@ class LollipopPolicy:
         inner_state = AgentState(
             tuple(relabel[p] for p in state.positions), state.is_source
         )
-        inner = solver.SolvedAgentPolicy(self._att)
+        inner = solver.SolvedAgentPolicy(att)
         inner_targets, _ = inner.decide(inner_surviving, inner_state, None)
         return tuple(back[t] for t in inner_targets), memory
 

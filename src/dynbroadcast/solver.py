@@ -2,9 +2,10 @@
 
 Every exact answer here comes from one game graph and one fixpoint. A node is
 a position of the game; its branches are the adversary's choices there, and
-each branch lists the successor nodes the agents choose between. The graph is
-stored as flat arrays (`_GameGraph`): the owner node of every branch, and the
-int32 successor ids of every branch, delimited by offsets.
+each branch offers a set of successor nodes the agents choose between. The
+graph is stored as flat arrays (`_GameGraph`): the owner node and the
+successor-set id of every branch, and the int32 node ids of every set,
+delimited by offsets. Many branches share a set, and each set is stored once.
 
 `_solve(goal, graph)` computes the attractor of the goal nodes in a
 reachability game (Grädel, Thomas & Wilke, *Automata, Logics, and Infinite
@@ -50,6 +51,29 @@ so ranks equal those of branching over every spanning tree of the graph.
 `SolvedAdversaryPolicy` still plays global spanning trees, in a fixed order.
 The `all_subsets` mode branches over every connected removal, unreduced; it
 is the reference the reduction is tested against.
+
+Storage of the canonical game graph (`_StateSpace`):
+
+- Ranked ids. A multiset of m nodes is ranked by its position in
+  `combinations_with_replacement(range(n), m)`. Layer i holds the states
+  with i ignorant agents, and a state's id is
+  layer[i] + rank(ignorant) * width[total - i] + rank(source), where
+  width[m] is the number of m-multisets. One int32 array `conv` maps the id
+  of every (ignorant, source) pair to the id of its state after conversion.
+- Interned sets. Over one surviving edge set, a class of agents at multiset
+  M can move to a list of distinct target multisets, stored as their sorted
+  ranks and interned. A branch's successor set is fixed by its pair of
+  target lists (the ignorant class's and the source class's), so branches
+  with equal pairs share one stored set.
+- The kernel. The set of lists (A, C) with i ignorant agents is
+  conv[layer[i] + a * width[total - i] + c] over a in A and c in C. It is
+  built in numpy, over chunks of about CHUNK_ENTRIES product entries.
+  Only the entries that conversion moved are deduplicated. Distinct (a, c)
+  give distinct ids before conversion. An entry that conversion leaves
+  alone is a fixed point of `conv` in layer i, and a converted entry lands in
+  a lower layer, because at least one ignorant agent became a source. So an
+  unconverted entry can meet neither another unconverted entry nor a
+  converted one; only converted entries can collide.
 """
 
 from __future__ import annotations
@@ -58,7 +82,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Callable, Hashable, Iterable, Literal, NamedTuple
+from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -166,23 +190,21 @@ def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozense
 
 # -- the game graph and its one fixpoint -----------------------------------------
 
+CHUNK_ENTRIES = 8192  # product entries per kernel pass; larger chunks raise peak RSS
 
-class _GameGraph:
-    """Branches in any order: the owner node of each, and its successor ids.
 
-    Every branch needs at least one successor (the agents may always stay
-    put); `_solve` reads an empty branch as its neighbour's first successor.
+class _GameGraph(NamedTuple):
+    """Branch b belongs to node owner[b] and offers successor set set_of[b];
+    set s holds the node ids values[offsets[s]:offsets[s + 1]].
+
+    Every set needs at least one successor (the agents may always stay put);
+    `_solve` reads an empty set as its neighbour's first successor.
     """
 
-    def __init__(self) -> None:
-        self.owner = array("i")
-        self.offsets = array("q", [0])  # branch b's successors: succ[offsets[b]:offsets[b+1]]
-        self.succ = array("i")
-
-    def add_branch(self, node: int, successors: Iterable[int]) -> None:
-        self.owner.append(node)
-        self.succ.extend(successors)
-        self.offsets.append(len(self.succ))
+    owner: np.ndarray  # int32, per branch
+    set_of: np.ndarray  # per branch
+    values: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more than there are sets
 
 
 def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
@@ -190,9 +212,7 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
 
     A node that is not a goal and has no branch is lost.
     """
-    owner = np.frombuffer(graph.owner, dtype=np.int32)
-    starts = np.frombuffer(graph.offsets, dtype=np.int64)[:-1]
-    succ = np.frombuffer(graph.succ, dtype=np.int32)
+    owner, starts = graph.owner, graph.offsets[:-1]
     win = goal.copy()
     rank = np.where(win, 0, -1)
     undecided = np.zeros(len(goal), dtype=bool)
@@ -201,10 +221,10 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
     wave = 0
     while undecided.any():
         wave += 1
-        # A branch blocks its owner this wave if no successor is won yet.
-        blocked = ~np.logical_or.reduceat(win[succ], starts)
+        # A branch blocks its owner this wave if no successor in its set is won yet.
+        set_won = np.logical_or.reduceat(win[graph.values], starts)
         newly = undecided.copy()
-        newly[owner[blocked]] = False
+        newly[owner[~set_won[graph.set_of]]] = False
         if not newly.any():
             break
         win |= newly
@@ -216,7 +236,7 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
 # -- the canonical game graph -------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: solver-backed policies carry it in memory
 class Attractor:
     graph: Graph
     total_agents: int
@@ -225,6 +245,9 @@ class Attractor:
     states: list[CanonicalState]
     rank: dict[CanonicalState, int]  # winning states only; rank = minimax rounds to goal
     states_explored: int
+    branches: int  # (state, adversary branch) pairs of the game graph
+    successor_entries: int  # summed over branches: successor states per branch
+    distinct_sets: int  # successor sets stored, one per distinct pair of target lists
 
     def wins(self, state: CanonicalState) -> bool:
         return state in self.rank
@@ -233,89 +256,153 @@ class Attractor:
 _ATTRACTOR_CACHE: dict[tuple[Graph, int, Mode], Attractor] = {}
 
 
-def _enumerate_states(n: int, total: int) -> list[CanonicalState]:
-    states = []
-    for n_ig in range(total):  # at least one source
-        n_src = total - n_ig
-        for ig in combinations_with_replacement(range(n), n_ig):
-            for src in combinations_with_replacement(range(n), n_src):
-                states.append(CanonicalState(ig, src))
-    return states
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """arange(s, s + n) for every pair (s, n), concatenated."""
+    firsts = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
 
 
-def _successor_builder(
-    g: Graph, index: dict[CanonicalState, int]
-) -> tuple[Callable[[frozenset[Edge]], int], Callable[[CanonicalState, int], tuple[int, ...]]]:
-    """intern(survivor): the id of a surviving edge set in this builder's
-    table, and successors(state, id): the ids of the canonical states (after
-    conversion) the agents can reach from `state` over those edges."""
-    n = g.node_count
-    survivor_ids: dict[frozenset[Edge], int] = {}
-    # Per-survivor move options per node (stay or cross a surviving edge).
-    opts_per_survivor: list[list[tuple[int, ...]]] = []
+class _StateSpace:
+    """Ranked ids of the canonical states with `total` agents on `g`, and the
+    successor sets of their branches (see the module docstring)."""
 
-    def intern(survivor: frozenset[Edge]) -> int:
-        sid = survivor_ids.get(survivor)
+    def __init__(self, g: Graph, total: int, budget_states: int):
+        n = g.node_count
+        self.width = [comb(n + m - 1, m) for m in range(total + 1)]
+        self.layer = [0]  # layer[i]: id of the first state with i ignorant agents
+        for n_ig in range(total):  # at least one source
+            self.layer.append(self.layer[-1] + self.width[n_ig] * self.width[total - n_ig])
+        if self.layer[-1] > budget_states:
+            raise BudgetExceeded(
+                f"undecided: budget ({self.layer[-1]} states > {budget_states})"
+            )
+        self.n, self.total = n, total
+        self.multisets = [
+            list(combinations_with_replacement(range(n), m)) for m in range(total + 1)
+        ]
+        self.rank = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
+        self.conv = self._conversions()
+        self._survivor_ids: dict[frozenset[Edge], int] = {}
+        self._options: list[list[tuple[int, ...]]] = []  # per survivor and node: stay or cross
+        # Target-list id of a class, keyed by its multiset and its nodes'
+        # options, so survivors that agree around the class share it.
+        self._target_ids: dict[tuple, int] = {}
+        # Interned target lists: the sorted ranks of the distinct multisets a
+        # class can move to, stored flat, with the class size of each list.
+        self._lists: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._list_values = array("i")
+        self._list_starts = array("q", [0])
+        self._list_sizes = array("i")
+
+    def states(self, n_ig: int) -> Iterator[CanonicalState]:
+        """The states with n_ig ignorant agents, in id order."""
+        for ig in self.multisets[n_ig]:
+            for src in self.multisets[self.total - n_ig]:
+                yield CanonicalState(ig, src)
+
+    def id(self, st: CanonicalState) -> int:
+        n_ig, n_src = len(st.ignorant), len(st.source)
+        ig, src = self.rank[n_ig][st.ignorant], self.rank[n_src][st.source]
+        return self.layer[n_ig] + ig * self.width[n_src] + src
+
+    def _conversions(self) -> np.ndarray:
+        """conv[id before conversion] = id after conversion."""
+        conv = np.arange(self.layer[-1], dtype=np.int32)
+        for n_ig in range(1, self.total):
+            srcs = self.multisets[self.total - n_ig]
+            present = [frozenset(src) for src in srcs]
+            pre = self.layer[n_ig]
+            for ig in self.multisets[n_ig]:
+                for src, here in zip(srcs, present):
+                    if not here.isdisjoint(ig):
+                        conv[pre] = self.id(canonical_after_conversion(ig, src))
+                    pre += 1
+        return conv
+
+    def survivor(self, edges: frozenset[Edge]) -> int:
+        """Id of a surviving edge set."""
+        sid = self._survivor_ids.get(edges)
         if sid is None:
-            sid = survivor_ids[survivor] = len(opts_per_survivor)
-            adj = Graph(n, survivor).adjacency()
-            opts_per_survivor.append([(v,) + adj[v] for v in range(n)])
+            sid = self._survivor_ids[edges] = len(self._options)
+            adj = Graph(self.n, edges).adjacency()
+            self._options.append([(v,) + adj[v] for v in range(self.n)])
         return sid
 
-    # Distinct target multisets for a class multiset under a survivor.
-    multiset_memo: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+    def class_targets(self, ms: tuple[int, ...], sid: int) -> int:
+        """Id of the interned target list of a class at `ms` over survivor
+        `sid`: the sorted ranks of the distinct multisets it can move to."""
+        opts = self._options[sid]
+        local = (ms, tuple([opts[v] for v in ms]))
+        tid = self._target_ids.get(local)
+        if tid is None:
+            reach: set[tuple[int, ...]] = {()}
+            for v in ms:
+                reach = {tuple(sorted(rest + (t,))) for rest in reach for t in opts[v]}
+            rank = self.rank[len(ms)]
+            key = (len(ms), tuple(sorted(rank[r] for r in reach)))
+            tid = self._lists.get(key)
+            if tid is None:
+                tid = self._lists[key] = len(self._list_sizes)
+                self._list_values.extend(key[1])
+                self._list_starts.append(len(self._list_values))
+                self._list_sizes.append(len(ms))
+            self._target_ids[local] = tid
+        return tid
 
-    def class_targets(ms: tuple[int, ...], sid: int) -> tuple[tuple[int, ...], ...]:
-        got = multiset_memo.get((ms, sid))
-        if got is not None:
-            return got
-        opts = opts_per_survivor[sid]
-        results: set[tuple[int, ...]] = {()}
-        for v in ms:
-            results = {
-                tuple(sorted(rest + (t,))) for rest in results for t in opts[v]
-            }
-        out = tuple(sorted(results))
-        multiset_memo[(ms, sid)] = out
-        return out
+    def successor_sets(
+        self, ig_lists: np.ndarray, src_lists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values and offsets of the successor sets (ig_lists[s], src_lists[s]).
 
-    # Post-conversion state index for a (ignorant, source) target multiset pair.
-    conv_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        Set s is conv[layer + a * width + c] over the ranks a of target list
+        ig_lists[s] and c of src_lists[s], built in chunks of about
+        CHUNK_ENTRIES product entries.
+        """
+        lists = np.frombuffer(self._list_values, dtype=np.int32)
+        starts = np.frombuffer(self._list_starts, dtype=np.int64)
+        n_ig = np.frombuffer(self._list_sizes, dtype=np.int32)[ig_lists]
+        # Ids are int32 (as in conv), and so is every partial sum of one.
+        base = np.array(self.layer, dtype=np.int32)[n_ig]
+        mult = np.array(self.width, dtype=np.int32)[self.total - n_ig]
+        a_start, c_start = starts[ig_lists], starts[src_lists]
+        a_len, c_len = starts[ig_lists + 1] - a_start, starts[src_lists + 1] - c_start
+        n_sets, n_states = len(ig_lists), self.layer[-1]
+        sizes = np.zeros(n_sets, dtype=np.int64)
 
-    def converted_index(ig_ms: tuple[int, ...], src_ms: tuple[int, ...]) -> int:
-        sset = set(src_ms)
-        if sset.isdisjoint(ig_ms):
-            return index[CanonicalState(ig_ms, src_ms)]
-        stay = tuple(p for p in ig_ms if p not in sset)
-        conv = tuple(p for p in ig_ms if p in sset)
-        return index[CanonicalState(stay, tuple(sorted(src_ms + conv)))]
+        def chunk(lo: int, hi: int) -> np.ndarray:
+            """The values of sets lo..hi-1, set after set; their sizes go to `sizes`.
+            A function, so that a chunk's arrays are freed before the next one."""
+            # One row per (set, ignorant target), then one entry per source target.
+            row_set = np.repeat(np.arange(lo, hi, dtype=np.int32), a_len[lo:hi])
+            row_id = base[row_set] + lists[_ranges(a_start[lo:hi], a_len[lo:hi])] * mult[row_set]
+            row_len = c_len[row_set]
+            pre = np.repeat(row_id, row_len) + lists[_ranges(c_start[row_set], row_len)]
+            s = np.repeat(row_set - lo, row_len)  # set of each entry, chunk-local
+            post = self.conv[pre]
+            moved = post != pre
+            # Only converted entries can coincide (see the module docstring).
+            # A stable argsort and a mask stand in for np.unique, which imports
+            # numpy.ma, and for np.sort: each would map more of numpy (1.8 and
+            # 0.4 MiB of peak RSS on a run that solves only small graphs).
+            merged = s[moved].astype(np.int64) * n_states + post[moved]
+            merged = merged[np.argsort(merged, kind="stable")]
+            merged = merged[np.diff(merged, prepend=-1) != 0]
+            owner = np.concatenate((s[~moved], merged // n_states))
+            sizes[lo:hi] = np.bincount(owner, minlength=hi - lo)
+            vals = np.concatenate((post[~moved], merged % n_states), dtype=np.int32)
+            return vals[np.argsort(owner, kind="stable")]
 
-    # Whole successor sets, keyed by the two target-multiset menus (identical
-    # menus arise under many removals of a symmetric graph).
-    set_memo: dict[tuple, tuple[int, ...]] = {}
-
-    def successors(st: CanonicalState, sid: int) -> tuple[int, ...]:
-        ig_targets = class_targets(st.ignorant, sid)
-        src_targets = class_targets(st.source, sid)
-        set_key = (ig_targets, src_targets)
-        cached_set = set_memo.get(set_key)
-        if cached_set is None:
-            succs: set[int] = set()
-            add = succs.add
-            get = conv_memo.get
-            for src_ms in src_targets:
-                for ig_ms in ig_targets:
-                    pair = (ig_ms, src_ms)
-                    t = get(pair)
-                    if t is None:
-                        t = converted_index(ig_ms, src_ms)
-                        conv_memo[pair] = t
-                    add(t)
-            cached_set = tuple(succs)
-            set_memo[set_key] = cached_set
-        return cached_set
-
-    return intern, successors
+        # bounds[s]: product entries of the sets before set s. A chunk takes
+        # sets while they fit in CHUNK_ENTRIES entries, and at least one.
+        bounds = np.concatenate(([0], np.cumsum(a_len * c_len)))
+        values = array("i")
+        lo = 0
+        while lo < n_sets:
+            hi = int(np.searchsorted(bounds, bounds[lo] + CHUNK_ENTRIES, "right")) - 1
+            hi = max(hi, lo + 1)
+            values.frombytes(chunk(lo, hi).tobytes())
+            lo = hi
+        return np.frombuffer(values, dtype=np.int32), np.concatenate(([0], np.cumsum(sizes)))
 
 
 def _canonical_graph(
@@ -323,41 +410,58 @@ def _canonical_graph(
     total_agents: int,
     mode: Mode,
     budget_states: int,
-    expand: Callable[[CanonicalState], bool],
-) -> tuple[list[CanonicalState], dict[CanonicalState, int], _GameGraph]:
-    """All canonical states, their ids, and the game graph with the adversary
-    branches of `mode` at every state `expand` selects."""
-    states = _enumerate_states(g.node_count, total_agents)
-    if len(states) > budget_states:
-        raise BudgetExceeded(
-            f"undecided: budget ({len(states)} states > {budget_states})"
-        )
-    index = {s: i for i, s in enumerate(states)}
-    intern, successors = _successor_builder(g, index)
+    layers: range,
+) -> tuple[_StateSpace, _GameGraph]:
+    """The canonical states, and the game graph with the adversary branches of
+    `mode` at every state whose ignorant count is in `layers`."""
+    space = _StateSpace(g, total_agents, budget_states)
     if mode == "spanning_trees":
         by_occupied: dict[frozenset[int], list[int]] = {}
 
-        def branches(st: CanonicalState) -> list[int]:
-            occupied = frozenset(st.ignorant + st.source)
+        def menu(occupied: frozenset[int]) -> list[int]:
             got = by_occupied.get(occupied)
             if got is None:
                 got = by_occupied[occupied] = [
-                    intern(s) for s in _minimal_menu_survivors(g, occupied)
+                    space.survivor(s) for s in _minimal_menu_survivors(g, occupied)
                 ]
             return got
 
     else:
-        every = [intern(g.edges - r) for r in _branch_removals(g, mode)]
+        every = [space.survivor(g.edges - r) for r in _branch_removals(g, mode)]
 
-        def branches(st: CanonicalState) -> list[int]:
+        def menu(occupied: frozenset[int]) -> list[int]:
             return every
 
-    graph = _GameGraph()
-    for s_idx, st in enumerate(states):
-        if expand(st):
-            for sid in branches(st):
-                graph.add_branch(s_idx, successors(st, sid))
-    return states, index, graph
+    # Target-list ids of a class at each branch of a state, memoised by the
+    # class multiset and the occupied set.
+    by_class: dict[tuple[tuple[int, ...], frozenset[int]], array] = {}
+    ig_lists, src_lists, counts = array("i"), array("i"), array("i")
+    for n_ig in layers:
+        for st in space.states(n_ig):
+            occupied = frozenset(st.ignorant + st.source)
+            sids = menu(occupied)
+            for ms, out in ((st.ignorant, ig_lists), (st.source, src_lists)):
+                tids = by_class.get((ms, occupied))
+                if tids is None:
+                    tids = array("i", [space.class_targets(ms, sid) for sid in sids])
+                    by_class[(ms, occupied)] = tids
+                out.extend(tids)
+            counts.append(len(sids))
+    owner = np.repeat(
+        np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32),
+        np.frombuffer(counts, dtype=np.int32),
+    )
+    # Interned sets: one per distinct pair of target lists.
+    n_lists = len(space._list_sizes) or 1
+    pairs = np.frombuffer(ig_lists, dtype=np.int32).astype(np.int64) * n_lists
+    pairs += np.frombuffer(src_lists, dtype=np.int32)
+    order = np.argsort(pairs, kind="stable")
+    first = np.diff(pairs[order], prepend=-1) != 0
+    set_of = np.empty(len(pairs), dtype=np.int32)
+    set_of[order] = np.cumsum(first) - 1
+    keys = pairs[order][first]
+    values, offsets = space.successor_sets(keys // n_lists, keys % n_lists)
+    return space, _GameGraph(owner, set_of, values, offsets)
 
 
 def compute_attractor(
@@ -371,13 +475,25 @@ def compute_attractor(
     # A smaller budget than the cached build must still raise BudgetExceeded.
     if cached is not None and len(cached.states) <= budget_states:
         return cached
-    states, index, graph = _canonical_graph(
-        g, total_agents, mode, budget_states, lambda st: bool(st.ignorant)
+    space, graph = _canonical_graph(
+        g, total_agents, mode, budget_states, range(1, total_agents)
     )
-    goal = np.fromiter((not s.ignorant for s in states), dtype=bool, count=len(states))
-    rank_arr = _solve(goal, graph)
+    states = [st for n_ig in range(total_agents) for st in space.states(n_ig)]
+    rank_arr = _solve(np.arange(len(states)) < space.layer[1], graph)
     rank = {states[i]: int(rank_arr[i]) for i in np.flatnonzero(rank_arr >= 0)}
-    result = Attractor(g, total_agents, mode, index, states, rank, len(states))
+    set_sizes = np.diff(graph.offsets)
+    result = Attractor(
+        g,
+        total_agents,
+        mode,
+        {s: i for i, s in enumerate(states)},
+        states,
+        rank,
+        len(states),
+        branches=len(graph.owner),
+        successor_entries=int(set_sizes[graph.set_of].sum()),
+        distinct_sets=len(set_sizes),
+    )
     _ATTRACTOR_CACHE[key] = result
     return result
 
@@ -486,11 +602,8 @@ def game_value(
         return INFINITE  # nobody can ever convert
     i0 = len(state.ignorant)
     # Play stays in the layer with i0 ignorant agents until the goal.
-    states, index, graph = _canonical_graph(
-        g, total, mode, budget_states, lambda st: len(st.ignorant) == i0
-    )
-    goal = np.fromiter((len(s.ignorant) < i0 for s in states), dtype=bool, count=len(states))
-    r = int(_solve(goal, graph)[index[state]])
+    space, graph = _canonical_graph(g, total, mode, budget_states, range(i0, i0 + 1))
+    r = int(_solve(np.arange(space.layer[-1]) < space.layer[i0], graph)[space.id(state)])
     return INFINITE if r < 0 else r
 
 
@@ -544,9 +657,12 @@ class SolvedAdversaryPolicy:
         self.attractor = attractor
         self.name = name
         g = attractor.graph
-        intern, self._successors = _successor_builder(g, attractor.index)
-        # (removal, survivor id) for every removal of the mode, in order.
-        self._branches = [(r, intern(g.edges - r)) for r in _branch_removals(g, attractor.mode)]
+        self._space = _StateSpace(g, attractor.total_agents, len(attractor.states))
+        # Every removal of the mode, in order, and its survivor id.
+        self._removals = _branch_removals(g, attractor.mode)
+        self._survivors = [self._space.survivor(g.edges - r) for r in self._removals]
+        self._won = np.zeros(len(attractor.states), dtype=bool)
+        self._won[[attractor.index[s] for s in attractor.rank]] = True
 
     def place(self, base: Graph, k_ignorant: int, k_source: int) -> AgentState:
         att = self.attractor
@@ -560,10 +676,15 @@ class SolvedAdversaryPolicy:
 
     def decide(self, base: Graph, state: AgentState, memory: Hashable):
         here = canonical(state.config())
-        states, rank = self.attractor.states, self.attractor.rank
-        for removed, sid in self._branches:
-            if not any(states[t] in rank for t in self._successors(here, sid)):
-                return removed, None
+        space = self._space
+        ig_lists, src_lists = (
+            np.array([space.class_targets(ms, sid) for sid in self._survivors]) for ms in here
+        )
+        values, offsets = space.successor_sets(ig_lists, src_lists)
+        # The first removal after which no joint move reaches a winning state.
+        lost = np.flatnonzero(~np.logical_or.reduceat(self._won[values], offsets[:-1]))
+        if lost.size:
+            return self._removals[lost[0]], None
         return frozenset(), None  # agent-winning state; nothing to defend
 
 
@@ -620,7 +741,8 @@ def model_check_policy(
     start = (initial, fixed.initial_memory(g, initial))
     ids = {start: 0}
     solved: list[int] = []
-    graph = _GameGraph()
+    # Each branch is its own successor set.
+    owner, values, offsets = array("i"), array("i"), array("q", [0])
     stack = [start]
     while stack:
         node = stack.pop()
@@ -639,10 +761,18 @@ def model_check_policy(
                     t = ids[nxt] = len(ids)
                     stack.append(nxt)
                 succ_ids.append(t)
-            graph.add_branch(here, succ_ids)
+            owner.append(here)
+            values.extend(succ_ids)
+            offsets.append(len(values))
 
     goal = np.zeros(len(ids), dtype=bool)
     goal[solved] = True
+    graph = _GameGraph(
+        np.frombuffer(owner, dtype=np.int32),
+        np.arange(len(owner), dtype=np.int32),
+        np.frombuffer(values, dtype=np.int32),
+        np.frombuffer(offsets, dtype=np.int64),
+    )
     r = int(_solve(goal, graph)[0])
     if r >= 0:
         return SolverResult("agents", r, len(ids))

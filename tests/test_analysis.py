@@ -35,6 +35,7 @@ from dynbroadcast.graph import (
     theta_layout,
 )
 from dynbroadcast.policies import ThetaBroadcastPolicy
+from dynbroadcast.solver import min_agents
 
 
 def mislabelled_theta() -> Graph:
@@ -171,6 +172,18 @@ class TestBoundReport:
         assert rep.exact == 9 - 2 * 2 + 1  # n - 2*lambda + 1 = 6
         rep = bound_report(make_clique_star(7, 2))
         assert rep.exact == 4
+
+    @pytest.mark.parametrize("n, lam", [(3, 1), (4, 1), (5, 1), (5, 2), (7, 2), (7, 3)])
+    def test_clique_star_entries_agree_with_solver(self, n, lam):
+        # The closed form fails on K_n (lam = 1) and on windmills with lam >= 3.
+        g = make_clique_star(n, lam)
+        k_star = min_agents(g, 4)
+        rep = bound_report(g)
+        assert all(e.value == k_star for e in rep.entries if e.bound_type == "exact")
+        assert rep.best_lower <= k_star
+        if (n, lam) == (7, 3):
+            assert k_star == 3
+            assert rep.by_kind("clique_star_exact") is None
 
     def test_lollipop_rule(self):
         assert bound_report(make_lollipop(2, 5)).exact == 2

@@ -127,6 +127,9 @@ class TestThetaBlocker:
         assert trace.outcome.kind != "solved"
 
 
+LOLLIPOP_SECOND = (make_lollipop(3, 1), [0, 1, 5], [2])
+
+
 class TestPolicyReuse:
     @pytest.mark.parametrize(
         "make",
@@ -147,6 +150,33 @@ class TestPolicyReuse:
         # Memory starts with the theta layout, which compares by identity.
         assert got == want
         assert got_mem[1:] == want_mem[1:]
+
+    @pytest.mark.parametrize(
+        "make, first, second",
+        [
+            (CliquePolicy, (make_complete(4), [1, 2], [0]), (make_complete(5), [1, 2, 3], [0])),
+            (LollipopPolicy, (make_lollipop(2, 2), [0, 5], [1]), LOLLIPOP_SECOND),
+            (LollipopPolicy, (make_lollipop(2, 2), [0, 2], [1]), LOLLIPOP_SECOND),
+        ],
+        ids=["clique_policy", "lollipop_policy_path", "lollipop_policy_clique"],
+    )
+    def test_solver_backed_policy_keeps_its_game(self, make, first, second):
+        # The attractor travels in memory, so a second game started on the
+        # same instance leaves the first game's decisions and trace alone.
+        (g1, ig1, src1), (g2, ig2, src2) = first, second
+        s1, s2 = initial_state(ig1, src1), initial_state(ig2, src2)
+        reused = make()
+        m1 = reused.initial_memory(g1, s1)
+        reused.initial_memory(g2, s2)
+        fresh = make()
+        surviving = g1.without(frozenset({min(g1.edges)}))
+        assert reused.decide(surviving, s1, m1) == fresh.decide(
+            surviving, s1, fresh.initial_memory(g1, s1)
+        )
+        adversary = RandomTreeAdversary(3)
+        want = simulate(g1, s1, make(), adversary, max_rounds=50)
+        got = simulate(g1, s1, reused, adversary, max_rounds=50)
+        assert got.rounds == want.rounds and got.outcome == want.outcome
 
 
 class TestGridFlipflop:

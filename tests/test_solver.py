@@ -22,11 +22,14 @@ from dynbroadcast.graph import (
 from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
 from dynbroadcast.solver import (
     BudgetExceeded,
+    CanonicalState,
     SolvedAdversaryPolicy,
     SolvedAgentPolicy,
+    _canonical_graph,
     _minimal_menu_survivors,
     agents_can_win,
     canonical,
+    canonical_after_conversion,
     compute_attractor,
     connected_removals,
     game_value,
@@ -90,6 +93,89 @@ class TestBranching:
         got = [menu(s) for s in survivors]
         assert len(set(got)) == len(got)
         assert set(got) == minimal
+
+
+def kernel_branches(g, total):
+    """(state, survivor, stored successor states) for every branch of the
+    canonical game graph, with the survivors recomputed in build order."""
+    space, graph = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
+    states = [s for n_ig in range(total) for s in space.states(n_ig)]
+    branches = (
+        (s, survivor)
+        for n_ig in range(1, total)
+        for s in space.states(n_ig)
+        for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source))
+    )
+    count = 0
+    for b, (s, survivor) in enumerate(branches):
+        assert states[graph.owner[b]] == s
+        lo, hi = graph.offsets[graph.set_of[b]], graph.offsets[graph.set_of[b] + 1]
+        yield s, survivor, [states[v] for v in graph.values[lo:hi]]
+        count += 1
+    assert count == len(graph.owner)
+
+
+def naive_successors(g, s, survivor):
+    """Canonical states after conversion over the labelled move product."""
+    adj = Graph(g.node_count, survivor).adjacency()
+    k = len(s.ignorant)
+    return {
+        canonical_after_conversion(t[:k], t[k:])
+        for t in itertools.product(*((p,) + adj[p] for p in s.ignorant + s.source))
+    }
+
+
+class TestSuccessorKernel:
+    """The kernel's stored successor sets against a naive labelled product.
+
+    Sets are compared as lists without repeats, not through ranks: a kernel
+    that skipped the deduplication of converted entries would leave every
+    rank unchanged.
+    """
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize(
+        "g", list(atlas_graphs(max_nodes=5)), ids=lambda g: f"{g.node_count}n{sorted(g.edges)}"
+    )
+    def test_sets_match_labelled_product(self, g, agents):
+        # Every state, co-located agents included, at every branch.
+        for s, survivor, stored in kernel_branches(g, agents):
+            assert len(stored) == len(set(stored)), (s, survivor)
+            assert set(stored) == naive_successors(g, s, survivor), (s, survivor)
+
+    @given(connected_graphs(max_nodes=4, max_edges=6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_colliding_conversions_are_merged(self, g, data):
+        # A pendant p on x: the bridge (x, p) survives every removal. From
+        # ignorant (p,) and sources (x, p, p), the moves "ignorant to x" and
+        # "one source p -> x" both convert to sources (x, x, p, p).
+        x = data.draw(st.sampled_from(list(g.nodes)))
+        p = g.node_count
+        g = Graph(p + 1, g.edges | {(x, p)})
+        start = CanonicalState((p,), (x, p, p))
+        checked = 0
+        for s, survivor, stored in kernel_branches(g, 4):
+            if s != start:
+                continue
+            assert len(stored) == len(set(stored))
+            assert set(stored) == naive_successors(g, s, survivor)
+            assert stored.count(canonical_after_conversion((), (x, x, p, p))) == 1
+            checked += 1
+        assert checked
+
+
+    def test_attractor_counts_match_a_recount(self):
+        g = make_theta([3, 3, 3])
+        att = compute_attractor(g, 3)
+        sets = [
+            frozenset(naive_successors(g, s, survivor))
+            for s in att.states
+            if s.ignorant
+            for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source))
+        ]
+        assert att.branches == len(sets) == 12_204
+        assert att.successor_entries == sum(map(len, sets))
+        assert att.distinct_sets == len(set(sets))
 
 
 class TestKnownOptima:
