@@ -348,7 +348,8 @@ class ThetaLayout:
         if j < 0 or j >= len(chain):
             return v
         nxt = chain[j]
-        return nxt if surviving.has_edge(v, nxt) else v
+        edge = (v, nxt) if v < nxt else (nxt, v)  # `has_edge` less its self-loop check
+        return nxt if edge in surviving.edges else v
 
 
 def theta_layout(g: Graph) -> ThetaLayout | None:

@@ -412,7 +412,6 @@ class GridFlipflopAdversary:
     by the period-2 / zero-conversion property itself."""
 
     role = "adversary"
-    _cache: dict[tuple[int, int], tuple] = {}
 
     def __init__(self, rows: int, cols: int):
         if rows * cols < 6:
@@ -420,16 +419,9 @@ class GridFlipflopAdversary:
         self.rows = rows
         self.cols = cols
         self.name = f"grid_flipflop:{rows}x{cols}"
-        self._prepared = self._prepare(rows, cols)
+        self._prepared = self._search(rows, cols)
 
     # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def _prepare(cls, rows: int, cols: int):
-        key = (rows, cols)
-        if key not in cls._cache:
-            cls._cache[key] = cls._search(rows, cols)
-        return cls._cache[key]
 
     @staticmethod
     def _placements(rows: int, cols: int):
@@ -591,8 +583,7 @@ class ThetaBroadcastPolicy:
     def decide(self, surviving: Graph, state: AgentState, memory):
         layout, phase, tracked, ident_pairs, data, prev_srcs = memory
         ident = dict(ident_pairs)
-        n_agents = len(state.positions)
-        srcs_now = sum(1 for s in state.is_source if s)
+        srcs_now = state.is_source.count(True)
 
         # Refresh the tracked subset once every member has converted.
         if all(state.is_source[a] for a in tracked):
@@ -608,28 +599,21 @@ class ThetaBroadcastPolicy:
         ctx = _ThetaContext(layout, state, tracked, ident)
 
         # A conversion re-opens phase selection; so does phase completion.
+        cls = self._classify(ctx)
         if phase is None or srcs_now > prev_srcs:
-            phase, data = self._classify(ctx), ()
-        phase, data = self._check_exit(ctx, phase, data)
-
-        handler = {
-            _PRE: self._run_pre,
-            _P1: self._run_phase1,
-            _P2: self._run_phase2,
-            _P3: self._run_phase3,
-            _P4: self._run_phase4,
-            _P5: self._run_phase5,
-        }[phase]
-        targets, data = handler(surviving, ctx, data)
+            phase, data = cls, ()
+        phase, data = self._check_exit(ctx, cls, phase, data)
+        targets, data = self._HANDLERS[phase](self, surviving, ctx, data)
 
         full = list(state.positions)
         for a, t in targets.items():
             full[a] = t
-        # Identification follows commanded moves.
-        for a, t in targets.items():
-            if layout.is_pole(t) and not layout.is_pole(state.positions[a]):
-                ident.setdefault(a, layout.path_of(state.positions[a]))
-            elif not layout.is_pole(t) and a in ident:
+            # Identification follows commanded moves.
+            if t == layout.north or t == layout.south:
+                loc = layout.where.get(state.positions[a])
+                if loc is not None:  # from a path onto a pole
+                    ident.setdefault(a, loc[0])
+            elif a in ident:
                 del ident[a]
         new_mem = (layout, phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
         return tuple(full), new_mem
@@ -647,11 +631,10 @@ class ThetaBroadcastPolicy:
             return _P3
         return _PRE
 
-    def _check_exit(self, ctx, phase, data):
+    def _check_exit(self, ctx, cls, phase, data):
         """Move to a new phase when the running one finished or lost its
         precondition; otherwise persist (conversions reset the phase before
-        this is consulted)."""
-        cls = self._classify(ctx)
+        this is consulted). `cls` is `_classify(ctx)`."""
         layout = ctx.layout
         if phase == _P5:
             # Persist: once the two sweepers leave the poles they are no
@@ -827,56 +810,47 @@ class ThetaBroadcastPolicy:
                 layout.north,
             )
             data = (x, ())
-        x = data[0]
-        descenders = dict(data[1])
+        x, descenders = data[0], dict(data[1])
         y = layout.other_pole(x)
-        targets: dict[int, int] = {}
-
-        # Cleanup 1: enough crossing candidates (x-pole sources plus sources
-        # already standing on ignorant-free paths) for the ignorant-free paths.
-        empty = ctx.empty_paths()
-        x_sources = [a for a in ctx.sources_at(x)]
-        on_empty = [
-            s
-            for s in ctx.internal_sources()
-            if layout.path_of(state.positions[s]) in empty
-        ]
-        if len(empty) > len(x_sources) + len(on_empty) and not descenders:
-            split = self._split_crowded(surviving, ctx, exclude_pole=x)
-            if split:
-                return split, (x, ())
-
-        # Cleanup 2: need a source sandwiched between the x pole and a tracked
-        # ignorant agent on its path.
-        if not descenders and not self._sandwiched_exists(ctx, x):
-            squeeze = self._squeeze(surviving, ctx, x)
-            if squeeze:
-                return squeeze, (x, ())
-            split = self._split_crowded(surviving, ctx, exclude_pole=x)
-            if split:
-                return split, (x, ())
-
-        # Main step: pole sources walk distinct empty-ish paths toward y,
-        # everyone else sweeps toward x.
         if not descenders:
-            paths = empty or list(range(layout.n_paths))
+            # Cleanup 1: enough crossing candidates (x-pole sources plus sources
+            # already standing on ignorant-free paths) for the ignorant-free paths.
+            empty = ctx.empty_paths()
+            x_sources = ctx.sources_at(x)
+            on_empty = [s for s in ctx.internal_sources() if ctx.ident_path(s) in empty]
+            if len(empty) > len(x_sources) + len(on_empty):
+                split = self._split_crowded(surviving, ctx, exclude_pole=x)
+                if split:
+                    return split, (x, ())
+
+            # Cleanup 2: need a source sandwiched between the x pole and a tracked
+            # ignorant agent on its path.
+            if not self._sandwiched_exists(ctx, x):
+                squeeze = self._squeeze(surviving, ctx, x)
+                if squeeze:
+                    return squeeze, (x, ())
+                split = self._split_crowded(surviving, ctx, exclude_pole=x)
+                if split:
+                    return split, (x, ())
+
+            # Pole sources walk distinct empty-ish paths toward y.
             pool = sorted(x_sources)
-            for p in paths:
-                on_p = sorted(
-                    s
-                    for s in ctx.internal_sources()
-                    if layout.path_of(state.positions[s]) == p
-                )
+            for p in empty or range(layout.n_paths):
+                on_p = ctx.sources_on_path(p)
                 if on_p:
                     descenders[on_p[0]] = p
                 elif pool:
                     descenders[pool.pop(0)] = p
+            data = (x, tuple(sorted(descenders.items())))
+
+        # Main step: descenders cross toward y, everyone else sweeps toward x.
+        targets: dict[int, int] = {}
         for a in ctx.movers():
             if a in descenders and state.is_source[a]:
                 targets[a] = self._step(surviving, ctx, a, y, path=descenders[a])
             else:
                 targets[a] = self._step(surviving, ctx, a, x)
-        return targets, (x, tuple(sorted(descenders.items())))
+        return targets, data
 
     def _sandwiched_exists(self, ctx, x) -> bool:
         layout = ctx.layout
@@ -1010,85 +984,105 @@ class ThetaBroadcastPolicy:
                 if free:
                     ctx.ident[a] = free[0]
 
+    _HANDLERS = {
+        _PRE: _run_pre,
+        _P1: _run_phase1,
+        _P2: _run_phase2,
+        _P3: _run_phase3,
+        _P4: _run_phase4,
+        _P5: _run_phase5,
+    }
+
 
 class _ThetaContext:
-    """Read-mostly view of one round's configuration for the theta policy."""
+    """Read-mostly view of one round's configuration for the theta policy.
+
+    Construction indexes the round once: each agent's path, the sources by
+    node and by path, the pole sources, the tracked ignorant agents and the
+    movers. Only `ident` changes during a round (the phase handlers write
+    it), so everything that reads it goes through `ident_path`.
+    """
 
     def __init__(self, layout: ThetaLayout, state: AgentState, tracked, ident):
         self.layout = layout
         self.state = state
         self.tracked = tracked
         self.ident = ident  # pole-resident agent id -> path index (mutable)
+        where = layout.where
+        path: list[int | None] = []  # each agent's path index; None on a pole
+        sources: dict[int, list[int]] = {}  # node -> the sources there
+        internal: list[int] = []
+        internal_by_path: dict[int, list[int]] = {}
+        movers: list[int] = []
+        for a, (v, s) in enumerate(zip(state.positions, state.is_source)):
+            loc = where.get(v)
+            p = None if loc is None else loc[0]
+            path.append(p)
+            if s:
+                sources.setdefault(v, []).append(a)
+                if p is not None:
+                    internal.append(a)
+                    internal_by_path.setdefault(p, []).append(a)
+                movers.append(a)
+            elif a in tracked:
+                movers.append(a)
+        self._path, self._sources, self._movers = path, sources, movers
+        self._internal, self._internal_by_path = internal, internal_by_path
+        self._pole_sources = sorted(sources.get(layout.north, []) + sources.get(layout.south, []))
+        self._tracked_ignorant = [a for a in tracked if not state.is_source[a]]
 
     def ident_path(self, a: int) -> int | None:
-        pos = self.state.positions[a]
-        if self.layout.is_pole(pos):
-            return self.ident.get(a)
-        return self.layout.path_of(pos)
+        p = self._path[a]
+        return self.ident.get(a) if p is None else p
 
     def coord_of(self, a: int, p_idx: int) -> int:
         return self.layout.coord(p_idx, self.state.positions[a])
 
+    # The accessors below hand out the index's own lists; callers copy
+    # before changing one.
+
     def source_nodes(self):
-        return {
-            p for p, s in zip(self.state.positions, self.state.is_source) if s
-        }
+        return self._sources.keys()
 
     def sources_at(self, node: int) -> list[int]:
-        return [
-            a
-            for a, (p, s) in enumerate(zip(self.state.positions, self.state.is_source))
-            if s and p == node
-        ]
+        return self._sources.get(node, [])
 
     def tracked_at(self, node: int) -> list[int]:
-        return [
-            a
-            for a in self.tracked
-            if not self.state.is_source[a] and self.state.positions[a] == node
-        ]
+        return [a for a in self._tracked_ignorant if self.state.positions[a] == node]
 
     def tracked_ignorant(self) -> list[int]:
-        return [a for a in self.tracked if not self.state.is_source[a]]
+        return self._tracked_ignorant
 
     def pole_sources(self) -> list[int]:
-        return sorted(
-            self.sources_at(self.layout.north) + self.sources_at(self.layout.south)
-        )
+        return self._pole_sources
 
     def internal_sources(self) -> list[int]:
-        return [
-            a
-            for a, (p, s) in enumerate(zip(self.state.positions, self.state.is_source))
-            if s and not self.layout.is_pole(p)
-        ]
+        return self._internal
+
+    def sources_on_path(self, p_idx: int) -> list[int]:
+        """The sources on the internal nodes of one path."""
+        return self._internal_by_path.get(p_idx, [])
 
     def movers(self) -> list[int]:
         """Tracked ignorant agents plus every source."""
-        out = set(self.tracked_ignorant())
-        out.update(a for a, s in enumerate(self.state.is_source) if s)
-        return sorted(out)
+        return self._movers
 
     def crowded_paths(self) -> list[int]:
         counts: dict[int, int] = {}
-        for a in self.tracked_ignorant():
+        for a in self._tracked_ignorant:
             p = self.ident_path(a)
             if p is not None:
                 counts[p] = counts.get(p, 0) + 1
         return sorted(p for p, c in counts.items() if c >= 2)
 
     def tracked_on_path(self, p_idx: int) -> list[int]:
-        return [a for a in self.tracked_ignorant() if self.ident_path(a) == p_idx]
+        return [a for a in self._tracked_ignorant if self.ident_path(a) == p_idx]
 
     def empty_paths(self) -> list[int]:
         """Paths with no identified tracked ignorant agent. A source already
         standing on such a path does not block it: that source can itself
         cross it to the far pole."""
-        used = set()
-        for a in self.tracked_ignorant():
-            p = self.ident_path(a)
-            if p is not None:
-                used.add(p)
+        used = {self.ident_path(a) for a in self._tracked_ignorant}
         return [p for p in range(self.layout.n_paths) if p not in used]
 
     def double_source_site(self):
@@ -1097,26 +1091,18 @@ class _ThetaContext:
         for pole in (self.layout.north, self.layout.south):
             here = self.sources_at(pole)
             if len(here) >= 2:
-                return ("pole", pole, tuple(sorted(here)[:2]))
-        by_path: dict[int, list[int]] = {}
-        for a in self.internal_sources():
-            p = self.layout.path_of(self.state.positions[a])
-            by_path.setdefault(p, []).append(a)
-        for p in sorted(by_path):
-            if len(by_path[p]) >= 2:
-                return ("path", p, tuple(sorted(by_path[p])[:2]))
+                return ("pole", pole, tuple(here[:2]))
+        for p in sorted(self._internal_by_path):
+            here = self.sources_on_path(p)
+            if len(here) >= 2:
+                return ("path", p, tuple(here[:2]))
         return None
 
     def phase3_ready(self) -> bool:
-        for pole in (self.layout.north, self.layout.south):
-            if len(self.tracked_at(pole)) >= 2:
-                paths = {
-                    self.layout.path_of(self.state.positions[a])
-                    for a in self.internal_sources()
-                }
-                if len(paths) >= 2:
-                    return True
-        return False
+        return len(self._internal_by_path) >= 2 and any(
+            len(self.tracked_at(pole)) >= 2
+            for pole in (self.layout.north, self.layout.south)
+        )
 
 
 # -- solver-extracted clique and lollipop policies -------------------------------------

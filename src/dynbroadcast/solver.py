@@ -28,7 +28,12 @@ Three questions are asked of such graphs:
 - `model_check_policy`: the nodes are (agent state, policy memory) pairs
   reached from the start. A fixed agent policy gives one single-successor
   branch per removal; a fixed adversary gives one branch holding every joint
-  move.
+  move. A fixed-agent check therefore costs expanded nodes x removals calls of
+  the policy's `decide`, and that, not the fixpoint, sets its time. The
+  removals are every connected removal (`connected_removals`): a connected
+  survivor keeps at least n - 1 of the m edges, so only subsets of at most
+  m - n + 1 edges are tested, and the enumeration raises `BudgetExceeded`
+  when their number, the sum over r <= m - n + 1 of C(m, r), exceeds 2^20.
 
 Adversary branching. The agents at a state see a surviving edge set only
 through its menu: the surviving edges with an endpoint in the occupied set O.
@@ -135,13 +140,25 @@ def spanning_trees(g: Graph) -> list[frozenset[Edge]]:
     return trees
 
 
+REMOVAL_SUBSETS_BUDGET = 1 << 20
+
+
 def connected_removals(g: Graph) -> list[frozenset[Edge]]:
-    """Every edge subset whose removal leaves the graph connected."""
+    """Every edge subset whose removal leaves the graph connected, by size,
+    then in `combinations` order.
+
+    A connected survivor keeps at least n - 1 edges, so only subsets of at most
+    m - n + 1 edges are tested.
+    """
     edges = sorted(g.edges)
-    if len(edges) > 20:
-        raise BudgetExceeded("too many edges for removal-subset enumeration")
+    most = len(edges) - g.node_count + 1
+    tested = sum(comb(len(edges), r) for r in range(most + 1))
+    if tested > REMOVAL_SUBSETS_BUDGET:
+        raise BudgetExceeded(
+            f"too many edge subsets for removal enumeration ({tested} > {REMOVAL_SUBSETS_BUDGET})"
+        )
     out = []
-    for r in range(len(edges) + 1):
+    for r in range(most + 1):
         for combo in combinations(edges, r):
             if is_connected(g.node_count, g.edges - frozenset(combo)):
                 out.append(frozenset(combo))
@@ -613,10 +630,15 @@ def game_value(
 class SolvedAgentPolicy:
     """Winning joint-move policy read off an attractor.
 
-    Each round it enumerates legal joint moves in the surviving graph and picks
-    the one whose successor has the smallest winning rank; the menu of any
-    connected survivor contains a minimal menu, so a rank-decreasing move
-    always exists from a winning state.
+    Each round it picks, among the legal joint moves in the surviving graph,
+    the one whose successor has the smallest winning rank, ties broken by the
+    smallest target tuple; the menu of any connected survivor contains a
+    minimal menu, so a rank-decreasing move always exists from a winning state.
+
+    The successor depends only on the two target multisets, so the moves are
+    split by class: each class's labelled target tuples are grouped by their
+    sorted tuple, ranks are looked up once per pair of multisets, and full
+    target tuples are built only for the pairs of minimal rank.
     """
 
     role = "agents"
@@ -630,22 +652,49 @@ class SolvedAgentPolicy:
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
         adj = surviving.adjacency()
-        opts = [(p,) + adj[p] for p in state.positions]
+        ig_ids = [a for a, s in enumerate(state.is_source) if not s]
+        src_ids = [a for a, s in enumerate(state.is_source) if s]
+
+        def by_multiset(ids: list[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+            """The class's labelled target tuples, grouped by their sorted tuple."""
+            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for targets in product(*((p,) + adj[p] for p in (state.positions[a] for a in ids))):
+                groups.setdefault(tuple(sorted(targets)), []).append(targets)
+            return groups
+
+        ig_groups, src_groups = by_multiset(ig_ids), by_multiset(src_ids)
         rank = self.attractor.rank
-        best: tuple[int, tuple[int, ...]] | None = None
-        for targets in product(*opts):
-            ig = [t for t, s in zip(targets, state.is_source) if not s]
-            src = [t for t, s in zip(targets, state.is_source) if s]
-            nxt = canonical_after_conversion(ig, src)
-            r = rank.get(nxt)
-            if r is None:
-                continue
-            cand = (r, targets)
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+        best_r, best_pairs = None, []
+        for src in src_groups:
+            here = set(src)
+            for ig in ig_groups:
+                # A CanonicalState hashes and compares as its plain tuple.
+                if here.isdisjoint(ig):
+                    r = rank.get((ig, src))
+                else:  # ignorant agents on a source's target convert
+                    stay = tuple([t for t in ig if t not in here])
+                    conv = tuple([t for t in ig if t in here])
+                    r = rank.get((stay, tuple(sorted(src + conv))))
+                if r is None or (best_r is not None and r > best_r):
+                    continue
+                if r != best_r:
+                    best_r, best_pairs = r, []
+                best_pairs.append((src, ig))
+        if best_r is None:
             return state.positions, None  # not a winning state; stand still
-        return best[1], None
+        full, labels = list(state.positions), src_ids + ig_ids
+
+        def joined(src_t: tuple[int, ...], ig_t: tuple[int, ...]) -> tuple[int, ...]:
+            for a, t in zip(labels, src_t + ig_t):
+                full[a] = t
+            return tuple(full)
+
+        return min(
+            joined(src_t, ig_t)
+            for src, ig in best_pairs
+            for src_t in src_groups[src]
+            for ig_t in ig_groups[ig]
+        ), None
 
 
 class SolvedAdversaryPolicy:
@@ -696,7 +745,8 @@ class SolverResult:
     winner: Literal["agents", "adversary"]
     optimal_rounds: int | float  # inf iff winner == "adversary"
     states_explored: int
-    extracted_policy: object | None = None
+    branches: int  # edges of the model-check game graph
+    decide_calls: int  # calls to the fixed policy's decide
 
 
 def model_check_policy(
@@ -711,6 +761,11 @@ def model_check_policy(
     A fixed agent policy faces every connectivity-preserving removal by
     default (the spanning-tree reduction is not sound against a fixed agent
     policy, which may react to the exact surviving graph).
+
+    `branches` counts the edges of the game graph: (node, successor) pairs, one
+    per removal at each expanded node against a fixed agent policy, one per
+    joint move against a fixed adversary. `decide_calls` counts the calls to
+    `fixed.decide`: one per removal, or one, at each expanded node.
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
@@ -719,6 +774,7 @@ def model_check_policy(
 
     if fixed.role == "agents":
         survivors = [g.without(r) for r in _branch_removals(g, mode)]
+        decides_per_node = len(survivors)
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch per removal, holding the policy's single reply.
@@ -729,6 +785,7 @@ def model_check_policy(
             return out
 
     else:
+        decides_per_node = 1
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch, holding every joint move against the policy's removal.
@@ -744,6 +801,7 @@ def model_check_policy(
     # Each branch is its own successor set.
     owner, values, offsets = array("i"), array("i"), array("q", [0])
     stack = [start]
+    expanded = 0
     while stack:
         node = stack.pop()
         state, mem = node
@@ -753,6 +811,7 @@ def model_check_policy(
         if len(ids) > budget_states:
             raise BudgetExceeded("undecided: budget (model check exploration)")
         here = ids[node]
+        expanded += 1
         for branch in expand(state, mem):
             succ_ids = []
             for nxt in branch:
@@ -774,6 +833,7 @@ def model_check_policy(
         np.frombuffer(offsets, dtype=np.int64),
     )
     r = int(_solve(goal, graph)[0])
+    counts = (len(ids), len(values), expanded * decides_per_node)
     if r >= 0:
-        return SolverResult("agents", r, len(ids))
-    return SolverResult("adversary", INFINITE, len(ids))
+        return SolverResult("agents", r, *counts)
+    return SolverResult("adversary", INFINITE, *counts)

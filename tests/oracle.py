@@ -5,6 +5,9 @@ labels (no canonical states), the adversary plays every connectivity-keeping
 removal (no spanning-tree reduction), the agents play every product of
 per-agent moves, and no successor is ever memoised: each round of the
 backward induction recomputes every move from scratch.
+
+`solved_agent_targets` is the reference for `SolvedAgentPolicy.decide`: the
+same choice made over the labelled product of every agent's moves.
 """
 
 from itertools import product
@@ -67,3 +70,23 @@ def values(g: Graph, agents: int, goal, removals) -> dict[State, int | float]:
 
 def ignorant_count(state: State) -> int:
     return state[1].count(False)
+
+
+def solved_agent_targets(rank, surviving: Graph, state: State) -> tuple[int, ...]:
+    """The joint move `SolvedAgentPolicy` must pick: the lexicographic minimum
+    of (rank of the successor, targets) over every labelled joint move whose
+    successor has a rank, or the positions if none has one.
+
+    `rank` maps (sorted ignorant nodes, sorted source nodes) to a round count.
+    """
+    adj = surviving.adjacency()
+    positions, is_source = state
+    best = None
+    for targets in product(*((p,) + adj[p] for p in positions)):
+        sources = {t for t, s in zip(targets, is_source) if s}
+        ig = tuple(sorted(t for t in targets if t not in sources))
+        src = tuple(sorted(t for t in targets if t in sources))
+        r = rank.get((ig, src))
+        if r is not None and (best is None or (r, targets) < best):
+            best = (r, targets)
+    return positions if best is None else best[1]

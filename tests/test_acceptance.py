@@ -2,6 +2,7 @@
 library, the density formulas, the structural property suites, and
 reproducibility. Each test emits one pass/fail line via pytest."""
 
+import hashlib
 import time
 from fractions import Fraction
 from math import ceil, comb
@@ -34,7 +35,7 @@ from dynbroadcast.policies import (
     ThetaBroadcastPolicy,
 )
 from dynbroadcast.analysis import enumerate_bonds
-from dynbroadcast.engine import trace_from_json
+from dynbroadcast.engine import trace_from_json, trace_to_json
 from dynbroadcast.solver import game_value, min_agents, model_check_policy, solvable
 
 
@@ -61,19 +62,28 @@ def test_01_theta_333_needs_exactly_three_agents():
 
 
 def test_02_theta_broadcast_soundness():
-    # Against the optimal adversary on the two small thetas.
-    for ds in ([3, 3], [3, 3, 3]):
+    # Against the optimal adversary on the two small thetas: the winner, the
+    # round count and the nodes explored are pinned.
+    for ds, rounds, states in (([3, 3], 12, 251), ([3, 3, 3], 28, 12_451)):
         g, state = theta_start(ds)
         result = model_check_policy(g, state, ThetaBroadcastPolicy(k=len(ds)))
-        assert result.winner == "agents", ds
-    # Against 50 independently seeded random spanning-tree adversaries.
+        assert (result.winner, result.optimal_rounds, result.states_explored) == (
+            "agents", rounds, states
+        ), ds
+    # Against 50 independently seeded random spanning-tree adversaries. The
+    # digest of their trace JSON pins every move of every game.
     g, state = theta_start([4, 4, 4, 4])
+    digest = hashlib.sha256()
     for seed in range(50):
         trace = simulate(
             g, state, ThetaBroadcastPolicy(k=4), RandomTreeAdversary(seed=seed),
             max_rounds=500,
         )
         assert trace.outcome.kind == "solved", seed
+        digest.update(trace_to_json(trace).encode())
+    assert digest.hexdigest() == (
+        "d1002c9b92317145cf66a7a082e6c655c313ad1c427bf5861f4306badf02e4fa"
+    )
 
 
 def test_03_lower_bound_adversaries_win_model_check():

@@ -1,17 +1,18 @@
 """The solver against the naive minimax in `oracle.py`: game values on every
-connected graph with at most 4 nodes, and attractor ranks of every labelled
-state on 5-node graphs."""
+connected graph with at most 4 nodes, attractor ranks of every labelled
+state on 5-node graphs, and the moves `SolvedAgentPolicy` picks."""
 
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from dynbroadcast.engine import Configuration, initial_state
+from dynbroadcast.engine import AgentState, Configuration, initial_state
 from dynbroadcast.graph import Graph
 from dynbroadcast.policies import PassiveAdversary
 from dynbroadcast.solver import (
     INFINITE,
+    SolvedAgentPolicy,
     canonical_after_conversion,
     compute_attractor,
     connected_removals,
@@ -19,7 +20,7 @@ from dynbroadcast.solver import (
     model_check_policy,
 )
 
-from oracle import ignorant_count, values
+from oracle import ignorant_count, solved_agent_targets, values
 
 
 def connected_atlas(min_nodes: int, max_nodes: int):
@@ -81,3 +82,42 @@ def test_attractor_ranks_match_oracle(g, agents):
             [p for p, s in zip(positions, is_source) if s],
         )
         assert rank.get(state, INFINITE) == value, (positions, is_source)
+
+
+def solved_agent_cases():
+    """(graph, agents) for every connected atlas graph with at most 5 nodes
+    and 2 or 3 agents."""
+    for g in connected_atlas(1, 5):
+        for agents in (2, 3):
+            yield pytest.param(g, agents, id=f"{g.node_count}n{sorted(g.edges)}-a{agents}")
+
+
+@pytest.mark.parametrize("g, agents", list(solved_agent_cases()))
+def test_solved_agent_decide_matches_labelled_product(g, agents):
+    # Every attractor state that play can hand to `decide` (converted, not
+    # yet solved; co-located agents included), with every choice of which
+    # labels are ignorant, against every connected survivor. `decide` reads a
+    # survivor only through the neighbours of the occupied nodes, so survivors
+    # that agree there are the same input and are checked once.
+    att = compute_attractor(g, agents)
+    policy = SolvedAgentPolicy(att)
+    survivors = [g.without(r) for r in connected_removals(g)]
+    for st in att.states:
+        if not st.ignorant or not set(st.ignorant).isdisjoint(st.source):
+            continue
+        occupied = sorted(set(st.ignorant + st.source))
+        menus = {}
+        for s in survivors:
+            adj = s.adjacency()
+            menus.setdefault(tuple(adj[v] for v in occupied), s)
+        for ig_labels in combinations(range(agents), len(st.ignorant)):
+            src_labels = [a for a in range(agents) if a not in ig_labels]
+            positions = [0] * agents
+            for labels, nodes in ((ig_labels, st.ignorant), (src_labels, st.source)):
+                for a, v in zip(labels, nodes):
+                    positions[a] = v
+            is_source = tuple(a not in ig_labels for a in range(agents))
+            state = AgentState(tuple(positions), is_source)
+            for s in menus.values():
+                want = solved_agent_targets(att.rank, s, (state.positions, is_source))
+                assert policy.decide(s, state, None) == (want, None), (st, ig_labels)

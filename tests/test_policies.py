@@ -30,6 +30,7 @@ from dynbroadcast.policies import (
     TowardSourcePolicy,
     make_policy,
 )
+from dynbroadcast.solver import model_check_policy
 
 
 def theta_start(ds, k=None):
@@ -96,6 +97,18 @@ class TestThetaBroadcast:
                 max_rounds=500,
             )
             assert trace.outcome.kind == "solved", seed
+
+    @pytest.mark.parametrize(
+        "ds, rounds, states",
+        [([3, 3], 12, 251), ([4, 4], 16, 427), ([5, 5], 18, 543), ([6, 6], 22, 805),
+         ([2, 2, 2], 21, 6_641)],
+    )
+    def test_model_check_is_pinned(self, ds, rounds, states):
+        # Winner, minimax rounds and nodes explored against every connected
+        # removal; any change to a decision or to the removals moves them.
+        g, state = theta_start(ds)
+        res = model_check_policy(g, state, ThetaBroadcastPolicy(k=len(ds)))
+        assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", rounds, states)
 
     def test_rejects_wrong_agent_count(self):
         g, state = theta_start([3, 3, 3], k=2)
@@ -177,6 +190,21 @@ class TestPolicyReuse:
         want = simulate(g1, s1, make(), adversary, max_rounds=50)
         got = simulate(g1, s1, reused, adversary, max_rounds=50)
         assert got.rounds == want.rounds and got.outcome == want.outcome
+
+
+    def test_grid_flipflop_replays_its_game(self):
+        # The partner path is searched at construction and kept on the
+        # instance, so a second game on the same instance, with another grid's
+        # adversary built in between, replays the first trace exactly.
+        g = make_grid(3, 3)
+        reused = GridFlipflopAdversary(3, 3)
+        first = simulate(g, reused.place(g, 5, 1), GreedyPathPolicy(), reused, max_rounds=10)
+        GridFlipflopAdversary(3, 4)
+        second = simulate(g, reused.place(g, 5, 1), GreedyPathPolicy(), reused, max_rounds=10)
+        fresh = GridFlipflopAdversary(3, 3)
+        third = simulate(g, fresh.place(g, 5, 1), GreedyPathPolicy(), fresh, max_rounds=10)
+        for trace in (second, third):
+            assert trace.rounds == first.rounds and trace.outcome == first.outcome
 
 
 class TestGridFlipflop:

@@ -19,7 +19,7 @@ from dynbroadcast.graph import (
     make_ring,
     make_theta,
 )
-from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
+from dynbroadcast.policies import PassiveAdversary, ThetaBroadcastPolicy, TowardSourcePolicy
 from dynbroadcast.solver import (
     BudgetExceeded,
     CanonicalState,
@@ -77,6 +77,33 @@ class TestBranching:
         for g in atlas_graphs(max_nodes=4):
             for removed in connected_removals(g):
                 assert g.is_connected(removed)
+
+    def test_connected_removals_equal_a_brute_force(self):
+        # Every subset of every size, in the same order: the size bound only
+        # skips subsets that cannot leave the graph connected.
+        for g in atlas_graphs(max_nodes=6, min_nodes=1):
+            edges = sorted(g.edges)
+            brute = [
+                frozenset(combo)
+                for r in range(len(edges) + 1)
+                for combo in itertools.combinations(edges, r)
+                if g.is_connected(frozenset(combo))
+            ]
+            assert connected_removals(g) == brute, sorted(g.edges)
+
+    def test_removal_budget_counts_the_subsets_tested(self):
+        # A path has one removal (none) however long it is, and ring(22) has
+        # 23: both are cheap, though they have more than 20 edges.
+        assert connected_removals(make_path(25)) == [frozenset()]
+        assert len(connected_removals(make_ring(22))) == 23
+        res = model_check_policy(make_path(25), initial_state([0], [24]), TowardSourcePolicy())
+        assert (res.winner, res.optimal_rounds) == ("agents", 12)
+        # complete(7): sum of C(21, r) for r <= 15 is about 2.07 M.
+        k7 = make_complete(7)
+        with pytest.raises(BudgetExceeded):
+            connected_removals(k7)
+        with pytest.raises(BudgetExceeded):
+            model_check_policy(k7, initial_state([1], [0]), TowardSourcePolicy())
 
     @given(connected_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -294,6 +321,39 @@ class TestModelChecker:
         g = make_ring(5)
         res = model_check_policy(g, initial_state([1], [0]), PassiveAdversary())
         assert res.winner == "agents"
+
+    def test_counters_match_a_recount(self):
+        # Against a fixed agent policy, every expanded node calls decide once
+        # per removal, and each call is one edge of the game graph.
+        g = make_theta([4, 4])
+        lab = g.family.labels
+        mids = [p[1 + (len(p) - 2) // 2] for p in lab["paths"]]
+        calls = []
+
+        class CountingTheta(ThetaBroadcastPolicy):
+            def decide(self, surviving, state, memory):
+                calls.append((state, memory))
+                return super().decide(surviving, state, memory)
+
+        res = model_check_policy(g, initial_state(mids, [lab["north"]]), CountingTheta(k=2))
+        assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", 16, 427)
+        expanded = set(calls)
+        assert res.decide_calls == len(calls) == len(expanded) * len(connected_removals(g))
+        assert res.branches == len(calls)
+
+        # Against a fixed adversary, each expanded node calls decide once and
+        # has one edge per joint move.
+        calls.clear()
+
+        class CountingPassive(PassiveAdversary):
+            def decide(self, base, state, memory):
+                calls.append(state)
+                return super().decide(base, state, memory)
+
+        g = make_ring(6)
+        res = model_check_policy(g, initial_state([3], [0]), CountingPassive())
+        assert res.decide_calls == len(calls) == len(set(calls)) > 1
+        assert res.branches == sum(3 ** len(state.positions) for state in calls)
 
     def test_fixed_adversary_on_many_edges(self):
         # complete(7) has 21 edges, more than connected_removals enumerates;
