@@ -170,7 +170,19 @@ def _parse_placement(
     text: str, g: Graph, k: int, k_source: int, agents, adversary
 ) -> AgentState:
     """Placement spec: "auto", "agents", "adversary", or explicit
-    "ignorant=3+6+9,source=0"."""
+    "ignorant=3+6+9,source=0". It must place exactly k ignorant agents and
+    k_source sources."""
+    state = _place(text, g, k, k_source, agents, adversary)
+    n_source = sum(state.is_source)
+    if (state.total - n_source, n_source) != (k, k_source):
+        raise ValueError(
+            f"placement {text!r} gives {state.total - n_source} ignorant and "
+            f"{n_source} source agents, not {k} and {k_source}"
+        )
+    return state
+
+
+def _place(text: str, g: Graph, k: int, k_source: int, agents, adversary) -> AgentState:
     if text.startswith("ignorant=") or text.startswith("source="):
         kv = {}
         for part in text.split(","):

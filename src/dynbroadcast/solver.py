@@ -487,6 +487,8 @@ def compute_attractor(
     mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> Attractor:
+    if total_agents < 1:
+        raise ValueError("the game needs at least one agent")
     key = (g, total_agents, mode)
     cached = _ATTRACTOR_CACHE.get(key)
     # A smaller budget than the cached build must still raise BudgetExceeded.
@@ -554,6 +556,8 @@ def solvable(
     adversarial: the agents must win from every distinct-node placement;
     agents_choose: from some placement; a Configuration: from that one.
     """
+    if k < 0 or k_source < 1:
+        raise ValueError("need k >= 0 ignorant agents and k_source >= 1 sources")
     if isinstance(placement, Configuration):
         return agents_can_win(g, placement, mode, budget_states)
     if k + k_source > g.node_count:

@@ -1,12 +1,19 @@
 """Connectivity metrics, bond enumeration, timing formulas, and bound reports."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dynbroadcast
 from dynbroadcast.analysis import (
     Bond,
     bound_report,
@@ -55,7 +62,70 @@ def atlas_graphs(max_nodes=5, min_nodes=2):
         yield Graph(n, frozenset(tuple(sorted(e)) for e in ga.edges()))
 
 
+@st.composite
+def connected_graphs(draw, max_nodes=12):
+    """A random spanning tree plus each other edge with probability 1/2."""
+    n = draw(st.integers(1, max_nodes))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted({(u, v) for v in range(n) for u in range(v)} - tree)
+    keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+    return Graph(n, frozenset(tree) | {e for e, k in zip(others, keep) if k})
+
+
+def assert_connectivity_matches_networkx(g: Graph) -> None:
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_edges_from(g.edges)
+    assert edge_connectivity(g) == nx.edge_connectivity(h)
+    assert vertex_connectivity(g) == nx.node_connectivity(h)
+
+
 class TestConnectivity:
+    def test_matches_networkx_on_the_atlas(self):
+        graphs = list(atlas_graphs(max_nodes=7, min_nodes=1))
+        assert len(graphs) == 996
+        for g in graphs:
+            assert_connectivity_matches_networkx(g)
+
+    @given(connected_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_on_random_graphs(self, g):
+        assert_connectivity_matches_networkx(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_grid(10, 10),
+            make_theta([8] * 6),
+            make_complete(12),
+            make_clique_star(9, 4),
+            make_lollipop(3, 3),
+        ],
+        ids=["grid(10,10)", "theta(8x6)", "complete(12)", "clique_star(9,4)", "lollipop(3,3)"],
+    )
+    def test_matches_networkx_on_families(self, g):
+        assert_connectivity_matches_networkx(g)
+
+    def test_import_does_not_load_networkx(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import dynbroadcast, dynbroadcast.cli\n"
+            "dynbroadcast.bound_report(dynbroadcast.make_complete(5))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert dynbroadcast.cli.main(['analyze', 'grid:4,4']) == 0\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        src = str(Path(dynbroadcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert proc.stdout == "False\n"
+
     def test_connectivity_against_brute_force(self):
         """Edge connectivity equals the smallest disconnecting edge subset,
         checked by direct enumeration (independent of networkx)."""
@@ -172,6 +242,21 @@ class TestBoundReport:
         assert rep.exact == 9 - 2 * 2 + 1  # n - 2*lambda + 1 = 6
         rep = bound_report(make_clique_star(7, 2))
         assert rep.exact == 4
+
+    def test_entries_agree_with_solver_on_small_graphs(self):
+        """Every bound on every connected graph with 3-6 nodes is consistent
+        with the solver's k*."""
+        graphs = list(atlas_graphs(max_nodes=6, min_nodes=3))
+        assert len(graphs) == 141
+        for g in graphs:
+            k_star = min_agents(g, g.node_count - 1)
+            assert k_star is not None, g.edges
+            for e in bound_report(g).entries:
+                assert {
+                    "exact": e.value == k_star,
+                    "lower": e.value <= k_star,
+                    "upper": e.value >= k_star,
+                }[e.bound_type], (g.edges, e, k_star)
 
     @pytest.mark.parametrize("n, lam", [(3, 1), (4, 1), (5, 1), (5, 2), (7, 2), (7, 3)])
     def test_clique_star_entries_agree_with_solver(self, n, lam):

@@ -208,6 +208,26 @@ class TestSimulate:
         assert code == 4
         assert err.startswith("error: budget exceeded: ")
 
+    @pytest.mark.parametrize(
+        "counts", [("--k", "9"), ("--k", "-1"), ("--k-source", "0"), ("--k-source", "2")]
+    )
+    def test_auto_placement_keeps_the_requested_counts(self, capsys, counts):
+        code, out, err = run(capsys, "simulate", "theta:3,3", *counts)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: placement 'auto' gives ")
+
+    def test_explicit_placement_keeps_the_requested_counts(self, capsys):
+        argv = ["simulate", "path:5", "--placement", "ignorant=1+2,source=0"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == (
+            "error: placement 'ignorant=1+2,source=0' gives 2 ignorant and "
+            "1 source agents, not 1 and 1\n"
+        )
+        code, out, _ = run(capsys, *argv, "--k", "2")
+        assert code == 0 and "outcome=solved" in out
+
     def test_spec_file(self, capsys, tmp_path):
         spec = {
             "graph": "path:5",
@@ -250,6 +270,12 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "grid:4x4", "--k-max", "2")
         assert code == 0
         assert json.loads(out)["min_agents"] is None
+
+    def test_negative_k_is_diagnostic(self, capsys):
+        code, out, err = run(capsys, "solve", "theta:3,3", "--k", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_budget_exit_four(self, capsys):
         code, out, _ = run(

@@ -412,6 +412,15 @@ class TestStructuralProperties:
             compute_attractor(g, 3, budget_states=len(att.states) - 1)
         assert compute_attractor(g, 3, budget_states=len(att.states)) is att
 
+    def test_agent_counts_out_of_range_are_rejected(self):
+        g = make_theta([3, 3])
+        with pytest.raises(ValueError):
+            compute_attractor(g, 0)
+        for k, k_source in ((-1, 1), (1, 0), (0, 0)):
+            with pytest.raises(ValueError):
+                solvable(g, k, k_source=k_source)
+        assert solvable(g, 0)
+
     def test_canonical_sorts_classes(self):
         c = canonical(Configuration((3, 1), (5, 2)))
         assert c.ignorant == (1, 3)
