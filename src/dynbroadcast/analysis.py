@@ -103,11 +103,14 @@ class Bond:
         return True
 
 
-def enumerate_bonds(g: Graph, max_nodes: int = 16) -> list[Bond]:
+MAX_BOND_NODES = 16  # bond enumeration is exponential in n
+
+
+def enumerate_bonds(g: Graph) -> list[Bond]:
     """All bonds, found by scanning connected bipartitions (exponential in n)."""
     n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"bond enumeration limited to {max_nodes} nodes")
+    if n > MAX_BOND_NODES:
+        raise ValueError(f"bond enumeration limited to {MAX_BOND_NODES} nodes")
     adjacency = g.adjacency()
     bonds = []
     # Fix node 0 on side A to avoid mirrored duplicates.
@@ -128,6 +131,11 @@ def enumerate_bonds(g: Graph, max_nodes: int = 16) -> list[Bond]:
             ):
                 bonds.append(Bond(cut, side_a, side_b))
     return bonds
+
+
+def largest_matching_bond(bonds: list[Bond]) -> Bond | None:
+    """The matching bond with the most edges, the first found among equals."""
+    return max((b for b in bonds if b.is_matching), key=lambda b: len(b.edges), default=None)
 
 
 def _connected_within(nodes: frozenset[int], adjacency) -> bool:
@@ -247,7 +255,7 @@ def _is_ring(g: Graph) -> bool:
     )
 
 
-def bound_report(g: Graph, max_bond_nodes: int = 16) -> BoundReport:
+def bound_report(g: Graph) -> BoundReport:
     """Certified bounds on the minimum number of ignorant agents the agents
     need so that broadcast is forced from every starting placement.
 
@@ -310,13 +318,9 @@ def bound_report(g: Graph, max_bond_nodes: int = 16) -> BoundReport:
 
     # Bond lower bound: a matching bond of m edges defeats m-2 ignorant agents,
     # so at least m-1 are needed.
-    if n <= max_bond_nodes:
-        best_bond = None
-        for bond in enumerate_bonds(g, max_bond_nodes):
-            if bond.is_matching and len(bond.edges) >= 2:
-                if best_bond is None or len(bond.edges) > len(best_bond.edges):
-                    best_bond = bond
-        if best_bond is not None:
+    if n <= MAX_BOND_NODES:
+        best_bond = largest_matching_bond(enumerate_bonds(g))
+        if best_bond is not None and len(best_bond.edges) >= 2:
             entries.append(
                 BoundEntry(
                     "bond_lower",

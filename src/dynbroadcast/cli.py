@@ -14,9 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
+    MAX_BOND_NODES,
     bound_report,
     edge_connectivity,
     enumerate_bonds,
+    largest_matching_bond,
     min_degree,
     vertex_connectivity,
 )
@@ -199,10 +201,11 @@ def _place(text: str, g: Graph, k: int, k_source: int, agents, adversary) -> Age
             if place is not None:
                 try:
                     return place(g, k, k_source)
-                except Exception:
+                except ValueError:  # the policy cannot place these agents here
                     pass
-        # A path graph is a one-path theta; it keeps the generic placement.
-        layout = theta_layout(g)
+        # Path midpoints, with the one source on the north pole. A path graph
+        # is a one-path theta; it keeps the generic placement.
+        layout = theta_layout(g) if k_source == 1 else None
         if layout is not None and 2 <= layout.n_paths and k <= layout.n_paths:
             mids = [chain[1 + (len(chain) - 2) // 2] for chain in layout.chains]
             return initial_state(mids[:k], [layout.north])
@@ -231,8 +234,8 @@ def cmd_generate(args, out) -> int:
 def cmd_analyze(args, out) -> int:
     g = _load_graph(args.graph)
     report = bound_report(g)
-    bonds = enumerate_bonds(g) if g.node_count <= 16 else []
-    matching = [b for b in bonds if b.is_matching]
+    bonds = enumerate_bonds(g) if g.node_count <= MAX_BOND_NODES else []
+    largest = largest_matching_bond(bonds)
     doc = {
         "nodes": g.node_count,
         "edges": g.edge_count,
@@ -241,7 +244,7 @@ def cmd_analyze(args, out) -> int:
         "edge_connectivity": edge_connectivity(g),
         "vertex_connectivity": vertex_connectivity(g),
         "bond_count": len(bonds),
-        "largest_matching_bond": max((len(b.edges) for b in matching), default=0),
+        "largest_matching_bond": len(largest.edges) if largest else 0,
         "bounds": [
             {
                 "kind": e.kind,

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Hashable
 
 from . import solver
-from .analysis import Bond, min_degree, vertex_connectivity
+from .analysis import Bond, enumerate_bonds, largest_matching_bond, min_degree, vertex_connectivity
 from .engine import AgentState, initial_state, step
 from .graph import (
     Edge,
@@ -642,14 +642,10 @@ class ThetaBroadcastPolicy:
             # adversary can spare only one missing edge for their path)
             # holds until a conversion.
             return phase, data
-        if phase == _PRE:
-            return (cls, ()) if cls != _PRE else (phase, data)
-        if phase == _P1:
-            if cls in (_P2, _P4, _P5):
-                return cls, ()
-            if ctx.double_source_site() is None:
-                return cls, ()
-            return phase, data
+        if phase in (_PRE, _P1):
+            # `_classify` gives _P1 exactly when a double-source site exists
+            # and no case before it matches, so this is phase 1's exit too.
+            return (cls, ()) if cls != phase else (phase, data)
         if phase == _P2:
             if cls == _P5:
                 return cls, ()
@@ -668,12 +664,10 @@ class ThetaBroadcastPolicy:
             if cls in (_P2, _P4, _P5):
                 return cls, ()
             return phase, data
-        if phase == _P4:
-            if cls == _P5:
-                return cls, ()
-            if not ctx.pole_sources() and not ctx.internal_sources():
-                return cls, ()
-            return phase, data
+        if phase == _P4 and cls == _P5:
+            # Phase 4 starts with sources present and sources never go away,
+            # so only phase 5 ends it.
+            return cls, ()
         return phase, data
 
     # -- phase handlers -------------------------------------------------------------------
@@ -1242,12 +1236,7 @@ def make_policy(
     if name == "bond_blocker":
         if graph is None:
             raise ValueError("bond_blocker needs a graph to pick its bond")
-        from .analysis import enumerate_bonds
-
-        best = None
-        for bond in enumerate_bonds(graph):
-            if bond.is_matching and (best is None or len(bond.edges) > len(best.edges)):
-                best = bond
+        best = largest_matching_bond(enumerate_bonds(graph))
         if best is None:
             raise ValueError("graph has no matching bond")
         return BondBlocker(best)

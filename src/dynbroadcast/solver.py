@@ -28,12 +28,15 @@ Three questions are asked of such graphs:
 - `model_check_policy`: the nodes are (agent state, policy memory) pairs
   reached from the start. A fixed agent policy gives one single-successor
   branch per removal; a fixed adversary gives one branch holding every joint
-  move. A fixed-agent check therefore costs expanded nodes x removals calls of
+  move, and its removal must leave the graph connected, as in `simulate`.
+  A fixed-agent check therefore costs expanded nodes x removals calls of
   the policy's `decide`, and that, not the fixpoint, sets its time. The
-  removals are every connected removal (`connected_removals`): a connected
-  survivor keeps at least n - 1 of the m edges, so only subsets of at most
-  m - n + 1 edges are tested, and the enumeration raises `BudgetExceeded`
-  when their number, the sum over r <= m - n + 1 of C(m, r), exceeds 2^20.
+  removals are always every connected removal (`connected_removals`): the
+  spanning-tree reduction below is unsound against a fixed agent policy,
+  which may react to the exact surviving graph. A connected survivor keeps
+  at least n - 1 of the m edges, so only subsets of at most m - n + 1 edges
+  are tested, and the enumeration raises `BudgetExceeded` when their
+  number, the sum over r <= m - n + 1 of C(m, r), exceeds 2^20.
 
 Adversary branching. The agents at a state see a surviving edge set only
 through its menu: the surviving edges with an endpoint in the occupied set O.
@@ -91,7 +94,7 @@ from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .engine import AgentState, Configuration, _convert, _move, initial_state
+from .engine import AgentState, Configuration, _convert, _move, _surviving_graph, initial_state
 from .graph import Edge, Graph, is_connected
 
 DEFAULT_BUDGET_STATES = 300_000
@@ -258,10 +261,8 @@ class Attractor:
     graph: Graph
     total_agents: int
     mode: Mode
-    index: dict[CanonicalState, int]
-    states: list[CanonicalState]
+    states: list[CanonicalState]  # in state id order
     rank: dict[CanonicalState, int]  # winning states only; rank = minimax rounds to goal
-    states_explored: int
     branches: int  # (state, adversary branch) pairs of the game graph
     successor_entries: int  # summed over branches: successor states per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
@@ -505,10 +506,8 @@ def compute_attractor(
         g,
         total_agents,
         mode,
-        {s: i for i, s in enumerate(states)},
         states,
         rank,
-        len(states),
         branches=len(graph.owner),
         successor_entries=int(set_sizes[graph.set_of].sum()),
         distinct_sets=len(set_sizes),
@@ -526,8 +525,6 @@ def agents_can_win(
     mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> bool:
-    if isinstance(state, Configuration):
-        state = canonical(state)
     state = canonical_after_conversion(state.ignorant, state.source)
     att = compute_attractor(g, len(state.ignorant) + len(state.source), mode, budget_states)
     return att.wins(state)
@@ -608,8 +605,6 @@ def game_value(
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | float:
     """Minimax round count until the objective event; inf if the adversary wins."""
-    if isinstance(state, Configuration):
-        state = canonical(state)
     state = canonical_after_conversion(state.ignorant, state.source)
     total = len(state.ignorant) + len(state.source)
     if objective == "all_sources":
@@ -646,10 +641,10 @@ class SolvedAgentPolicy:
     """
 
     role = "agents"
+    name = "solved_agents"
 
-    def __init__(self, attractor: Attractor, name: str = "solved_agents"):
+    def __init__(self, attractor: Attractor):
         self.attractor = attractor
-        self.name = name
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
         return None
@@ -705,17 +700,17 @@ class SolvedAdversaryPolicy:
     """Removal policy that keeps the play inside the agent-losing region."""
 
     role = "adversary"
+    name = "solved_adversary"
 
-    def __init__(self, attractor: Attractor, name: str = "solved_adversary"):
+    def __init__(self, attractor: Attractor):
         self.attractor = attractor
-        self.name = name
         g = attractor.graph
         self._space = _StateSpace(g, attractor.total_agents, len(attractor.states))
         # Every removal of the mode, in order, and its survivor id.
         self._removals = _branch_removals(g, attractor.mode)
         self._survivors = [self._space.survivor(g.edges - r) for r in self._removals]
         self._won = np.zeros(len(attractor.states), dtype=bool)
-        self._won[[attractor.index[s] for s in attractor.rank]] = True
+        self._won[[self._space.id(s) for s in attractor.rank]] = True
 
     def place(self, base: Graph, k_ignorant: int, k_source: int) -> AgentState:
         att = self.attractor
@@ -757,14 +752,12 @@ def model_check_policy(
     g: Graph,
     initial: AgentState,
     fixed,
-    mode: Mode = "all_subsets",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> SolverResult:
     """Play one side with `fixed` and the other side optimally (exhaustively).
 
-    A fixed agent policy faces every connectivity-preserving removal by
-    default (the spanning-tree reduction is not sound against a fixed agent
-    policy, which may react to the exact surviving graph).
+    A fixed agent policy faces every connectivity-preserving removal; a fixed
+    adversary's removal raises `RuleViolation` if it disconnects the graph.
 
     `branches` counts the edges of the game graph: (node, successor) pairs, one
     per removal at each expanded node against a fixed agent policy, one per
@@ -777,7 +770,7 @@ def model_check_policy(
     initial = AgentState(initial.positions, new_cls)
 
     if fixed.role == "agents":
-        survivors = [g.without(r) for r in _branch_removals(g, mode)]
+        survivors = [g.without(r) for r in connected_removals(g)]
         decides_per_node = len(survivors)
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
@@ -794,7 +787,7 @@ def model_check_policy(
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch, holding every joint move against the policy's removal.
             removed, mem2 = fixed.decide(g, state, mem)
-            adj = g.without(removed).adjacency()
+            adj = _surviving_graph(g, removed).adjacency()
             moves = product(*((p,) + adj[p] for p in state.positions))
             return [[(AgentState(t, _convert(t, state.is_source)[0]), mem2) for t in moves]]
 

@@ -208,14 +208,20 @@ class TestSimulate:
         assert code == 4
         assert err.startswith("error: budget exceeded: ")
 
-    @pytest.mark.parametrize(
-        "counts", [("--k", "9"), ("--k", "-1"), ("--k-source", "0"), ("--k-source", "2")]
-    )
+    @pytest.mark.parametrize("counts", [("--k", "9"), ("--k", "-1"), ("--k-source", "0")])
     def test_auto_placement_keeps_the_requested_counts(self, capsys, counts):
         code, out, err = run(capsys, "simulate", "theta:3,3", *counts)
         assert code == 1
         assert out == ""
         assert err.startswith("error: placement 'auto' gives ")
+
+    def test_auto_placement_on_theta_with_two_sources(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        argv = ["simulate", "theta:3,3", "--k-source", "2", "--output", str(path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "outcome=solved" in out
+        initial = json.loads(path.read_text())["initial"]
+        assert initial["is_source"] == [False, True, True]
 
     def test_explicit_placement_keeps_the_requested_counts(self, capsys):
         argv = ["simulate", "path:5", "--placement", "ignorant=1+2,source=0"]

@@ -24,6 +24,15 @@ from dynbroadcast.graph import GraphError, make_complete, make_path, make_ring, 
 from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
 
 
+def _check_contraction_per_round(trace):
+    """Run the pair-contraction check on every round of a trace, in that
+    round's surviving graph."""
+    for rec in trace.rounds:
+        before = tuple(f for f, _ in rec.moves)
+        after = tuple(t for _, t in rec.moves)
+        _pairwise_contraction_check(trace.graph.without(rec.removed_edges), before, after)
+
+
 class TestRoundPrimitives:
     def test_validate_removal(self):
         g = make_ring(5)
@@ -160,7 +169,7 @@ class TestSimulate:
 
     def test_contraction_check_passes_on_legal_play(self):
         # Any stay-or-adjacent round contracts a pair distance by at most 2,
-        # so the built-in check never fires on legal play.
+        # so the check never fires on a round of legal play.
         g = make_complete(5)
         trace = simulate(
             g,
@@ -168,9 +177,10 @@ class TestSimulate:
             TowardSourcePolicy(),
             PassiveAdversary(),
             max_rounds=10,
-            check_contraction=True,
         )
         assert trace.outcome.kind == "solved"
+        assert trace.rounds
+        _check_contraction_per_round(trace)
 
 
 class TestTraces:
@@ -225,9 +235,9 @@ class TestPairContraction:
             TowardSourcePolicy(),
             RandomTreeAdversary(seed=seed),
             max_rounds=30,
-            check_contraction=True,  # raises internally on violation
         )
         assert trace.outcome.kind in ("solved", "adversary_cycle", "round_limit_reached")
+        _check_contraction_per_round(trace)
 
     def test_direct_check_catches_contraction_by_three(self):
         # Only the last pair (agents 1 and 2) contracts, 6 -> 3, and node 3

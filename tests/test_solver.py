@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynbroadcast.engine import Configuration, initial_state, simulate
+from dynbroadcast.engine import Configuration, RuleViolation, initial_state, simulate
 from dynbroadcast.graph import (
     Graph,
     contract_cut_edges,
@@ -38,6 +38,8 @@ from dynbroadcast.solver import (
     solvable,
     spanning_trees,
 )
+
+from test_engine import _FixedRemoval
 
 
 def atlas_graphs(max_nodes=5, min_nodes=2):
@@ -360,6 +362,13 @@ class TestModelChecker:
         # a fixed adversary never needs that list.
         res = model_check_policy(make_complete(7), initial_state([1], [0]), PassiveAdversary())
         assert (res.winner, res.optimal_rounds) == ("agents", 1)
+
+    def test_fixed_adversary_disconnecting_removal_is_rejected(self):
+        # Every edge of a path is a bridge: the model check rejects the
+        # removal exactly as `simulate` does.
+        g = make_path(4)
+        with pytest.raises(RuleViolation, match="disconnects"):
+            model_check_policy(g, initial_state([0], [3]), _FixedRemoval([(1, 2)]))
 
     def test_passive_adversary_rounds_on_paths(self):
         # Every path edge is a bridge, so removing nothing is optimal and the
