@@ -220,6 +220,7 @@ class BoundEntry:
 class BoundReport:
     graph: Graph
     entries: list[BoundEntry] = field(default_factory=list)
+    bonds: list[Bond] = field(default_factory=list)  # empty above MAX_BOND_NODES nodes
 
     @property
     def best_lower(self) -> int:
@@ -319,7 +320,8 @@ def bound_report(g: Graph) -> BoundReport:
     # Bond lower bound: a matching bond of m edges defeats m-2 ignorant agents,
     # so at least m-1 are needed.
     if n <= MAX_BOND_NODES:
-        best_bond = largest_matching_bond(enumerate_bonds(g))
+        report.bonds = enumerate_bonds(g)
+        best_bond = largest_matching_bond(report.bonds)
         if best_bond is not None and len(best_bond.edges) >= 2:
             entries.append(
                 BoundEntry(

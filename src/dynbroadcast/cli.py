@@ -14,10 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
-    MAX_BOND_NODES,
     bound_report,
     edge_connectivity,
-    enumerate_bonds,
     largest_matching_bond,
     min_degree,
     vertex_connectivity,
@@ -234,8 +232,7 @@ def cmd_generate(args, out) -> int:
 def cmd_analyze(args, out) -> int:
     g = _load_graph(args.graph)
     report = bound_report(g)
-    bonds = enumerate_bonds(g) if g.node_count <= MAX_BOND_NODES else []
-    largest = largest_matching_bond(bonds)
+    largest = largest_matching_bond(report.bonds)
     doc = {
         "nodes": g.node_count,
         "edges": g.edge_count,
@@ -243,7 +240,7 @@ def cmd_analyze(args, out) -> int:
         "min_degree": min_degree(g),
         "edge_connectivity": edge_connectivity(g),
         "vertex_connectivity": vertex_connectivity(g),
-        "bond_count": len(bonds),
+        "bond_count": len(report.bonds),
         "largest_matching_bond": len(largest.edges) if largest else 0,
         "bounds": [
             {

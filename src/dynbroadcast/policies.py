@@ -405,6 +405,9 @@ def _hamiltonian_paths(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+MAX_FLIPFLOP_NODES = 12
+
+
 class GridFlipflopAdversary:
     """Alternates between two serpentine spanning paths of a grid so that the
     greedy path policy shuttles the agents back and forth forever with no
@@ -441,17 +444,19 @@ class GridFlipflopAdversary:
     def _search(cls, rows: int, cols: int):
         from .graph import make_grid
 
+        # Larger grids are not searched: their Hamiltonian paths grow
+        # exponentially, and the serpentine alone gave no construction on any
+        # grid from 2x7 to 6x6.
+        if rows * cols > MAX_FLIPFLOP_NODES:
+            raise GraphError(
+                f"flip-flop search limited to {MAX_FLIPFLOP_NODES}-node grids, not {rows}x{cols}"
+            )
         base = make_grid(rows, cols)
         greedy = GreedyPathPolicy()
         snake = _path_edges(_serpentine(rows, cols))
-        if base.node_count <= 12:
-            pool = [snake] + [
-                es
-                for es in (_path_edges(p) for p in _hamiltonian_paths(base))
-                if es != snake
-            ]
-        else:
-            pool = [snake]
+        pool = [snake] + [
+            es for es in (_path_edges(p) for p in _hamiltonian_paths(base)) if es != snake
+        ]
 
         def play(kept, state):
             return step(
@@ -1101,6 +1106,15 @@ class _ThetaContext:
 
 # -- solver-extracted clique and lollipop policies -------------------------------------
 
+# Largest clique solved: the state budget does not bound the branches per state.
+MAX_CLIQUE_NODES = 6
+
+
+def _clique_attractor(c: int, agents: int, budget_states: int) -> solver.Attractor:
+    if c > MAX_CLIQUE_NODES:
+        raise ValueError(f"clique larger than {MAX_CLIQUE_NODES} nodes")
+    return solver.compute_attractor(make_complete(c), agents, budget_states=budget_states)
+
 
 class CliquePolicy:
     """Winning policy for complete graphs, read off the exact solver's
@@ -1109,10 +1123,7 @@ class CliquePolicy:
 
     role = "agents"
 
-    def __init__(
-        self, max_nodes: int = 6, budget_states: int = solver.DEFAULT_BUDGET_STATES
-    ):
-        self.max_nodes = max_nodes
+    def __init__(self, budget_states: int = solver.DEFAULT_BUDGET_STATES):
         self.budget_states = budget_states
         self.name = "clique_policy"
 
@@ -1120,11 +1131,7 @@ class CliquePolicy:
         n = base.node_count
         if len(base.edges) != n * (n - 1) // 2:
             raise GraphError("clique policy requires a complete graph")
-        if n > self.max_nodes:
-            raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        return solver.compute_attractor(
-            base, len(state.positions), budget_states=self.budget_states
-        )
+        return _clique_attractor(n, len(state.positions), self.budget_states)
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
         targets, _ = solver.SolvedAgentPolicy(memory).decide(surviving, state, None)
@@ -1139,10 +1146,7 @@ class LollipopPolicy:
 
     role = "agents"
 
-    def __init__(
-        self, max_nodes: int = 6, budget_states: int = solver.DEFAULT_BUDGET_STATES
-    ):
-        self.max_nodes = max_nodes
+    def __init__(self, budget_states: int = solver.DEFAULT_BUDGET_STATES):
         self.budget_states = budget_states
         self.name = "lollipop_policy"
 
@@ -1151,12 +1155,7 @@ class LollipopPolicy:
         if fam is None or fam.kind != "lollipop":
             raise GraphError("lollipop policy requires a lollipop graph")
         clique_nodes = tuple(sorted(fam.labels["clique"]))
-        c = len(clique_nodes)
-        if c > self.max_nodes:
-            raise ValueError(f"clique larger than max_nodes={self.max_nodes}")
-        att = solver.compute_attractor(
-            make_complete(c), len(state.positions), budget_states=self.budget_states
-        )
+        att = _clique_attractor(len(clique_nodes), len(state.positions), self.budget_states)
         return att, clique_nodes, fam.labels["junction"]
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
@@ -1227,9 +1226,9 @@ def make_policy(
     if name == "isolation_tree":
         return IsolationTreeAdversary()
     if name == "clique_policy":
-        return CliquePolicy(int(kv.get("max_nodes", 6)), budget_states)
+        return CliquePolicy(budget_states)
     if name == "lollipop_policy":
-        return LollipopPolicy(int(kv.get("max_nodes", 6)), budget_states)
+        return LollipopPolicy(budget_states)
     if name == "grid_flipflop":
         rows, _, cols = params.partition("x")
         return GridFlipflopAdversary(int(rows), int(cols))

@@ -56,7 +56,8 @@ contracted multigraph, so every connected survivor's menu contains a spanning
 tree of it. Two distinct trees have equal size, so their menus are
 incomparable. Every minimal menu is also the menu of a global spanning tree,
 so ranks equal those of branching over every spanning tree of the graph.
-`SolvedAdversaryPolicy` still plays global spanning trees, in a fixed order.
+`SolvedAdversaryPolicy` plays these same branches: at a losing state, the
+first survivor of `_minimal_menu_survivors` after which every successor loses.
 The `all_subsets` mode branches over every connected removal, unreduced; it
 is the reference the reduction is tested against.
 
@@ -116,10 +117,6 @@ class CanonicalState(NamedTuple):
     source: tuple[int, ...]
 
 
-def canonical(config: Configuration) -> CanonicalState:
-    return CanonicalState(tuple(sorted(config.ignorant)), tuple(sorted(config.source)))
-
-
 def canonical_after_conversion(ignorant: Iterable[int], source: Iterable[int]) -> CanonicalState:
     src = tuple(source)
     src_set = set(src)
@@ -168,14 +165,6 @@ def connected_removals(g: Graph) -> list[frozenset[Edge]]:
     return out
 
 
-def _branch_removals(g: Graph, mode: Mode) -> list[frozenset[Edge]]:
-    if mode == "spanning_trees":
-        return [g.edges - t for t in spanning_trees(g)]
-    if mode == "all_subsets":
-        return connected_removals(g)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozenset[Edge]]:
     """One surviving edge set per inclusion-minimal menu of the occupied nodes.
 
@@ -206,6 +195,17 @@ def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozense
         for tree in spanning_trees(quotient)
         for choice in product(*(parallel[q] for q in sorted(tree)))
     ]
+
+
+def _class_targets(ms: tuple[int, ...], adj) -> set[tuple[int, ...]]:
+    """The distinct sorted multisets a class of agents at `ms` can move to,
+    each agent staying or crossing one edge of a surviving graph with
+    adjacency `adj`."""
+    reach: set[tuple[int, ...]] = {()}
+    for v in ms:
+        options = (v,) + adj[v]
+        reach = {tuple(sorted(rest + (t,))) for rest in reach for t in options}
+    return reach
 
 
 # -- the game graph and its one fixpoint -----------------------------------------
@@ -260,7 +260,6 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
 class Attractor:
     graph: Graph
     total_agents: int
-    mode: Mode
     states: list[CanonicalState]  # in state id order
     rank: dict[CanonicalState, int]  # winning states only; rank = minimax rounds to goal
     branches: int  # (state, adversary branch) pairs of the game graph
@@ -301,9 +300,9 @@ class _StateSpace:
         self.rank = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
         self.conv = self._conversions()
         self._survivor_ids: dict[frozenset[Edge], int] = {}
-        self._options: list[list[tuple[int, ...]]] = []  # per survivor and node: stay or cross
+        self._adjacency: list[tuple[tuple[int, ...], ...]] = []  # per survivor
         # Target-list id of a class, keyed by its multiset and its nodes'
-        # options, so survivors that agree around the class share it.
+        # adjacency, so survivors that agree around the class share it.
         self._target_ids: dict[tuple, int] = {}
         # Interned target lists: the sorted ranks of the distinct multisets a
         # class can move to, stored flat, with the class size of each list.
@@ -341,23 +340,19 @@ class _StateSpace:
         """Id of a surviving edge set."""
         sid = self._survivor_ids.get(edges)
         if sid is None:
-            sid = self._survivor_ids[edges] = len(self._options)
-            adj = Graph(self.n, edges).adjacency()
-            self._options.append([(v,) + adj[v] for v in range(self.n)])
+            sid = self._survivor_ids[edges] = len(self._adjacency)
+            self._adjacency.append(Graph(self.n, edges).adjacency())
         return sid
 
     def class_targets(self, ms: tuple[int, ...], sid: int) -> int:
         """Id of the interned target list of a class at `ms` over survivor
         `sid`: the sorted ranks of the distinct multisets it can move to."""
-        opts = self._options[sid]
-        local = (ms, tuple([opts[v] for v in ms]))
+        adj = self._adjacency[sid]
+        local = (ms, tuple([adj[v] for v in ms]))
         tid = self._target_ids.get(local)
         if tid is None:
-            reach: set[tuple[int, ...]] = {()}
-            for v in ms:
-                reach = {tuple(sorted(rest + (t,))) for rest in reach for t in opts[v]}
             rank = self.rank[len(ms)]
-            key = (len(ms), tuple(sorted(rank[r] for r in reach)))
+            key = (len(ms), tuple(sorted(rank[r] for r in _class_targets(ms, adj))))
             tid = self._lists.get(key)
             if tid is None:
                 tid = self._lists[key] = len(self._list_sizes)
@@ -444,11 +439,14 @@ def _canonical_graph(
                 ]
             return got
 
-    else:
-        every = [space.survivor(g.edges - r) for r in _branch_removals(g, mode)]
+    elif mode == "all_subsets":
+        every = [space.survivor(g.edges - r) for r in connected_removals(g)]
 
         def menu(occupied: frozenset[int]) -> list[int]:
             return every
+
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
     # Target-list ids of a class at each branch of a state, memoised by the
     # class multiset and the occupied set.
@@ -505,7 +503,6 @@ def compute_attractor(
     result = Attractor(
         g,
         total_agents,
-        mode,
         states,
         rank,
         branches=len(graph.owner),
@@ -697,20 +694,16 @@ class SolvedAgentPolicy:
 
 
 class SolvedAdversaryPolicy:
-    """Removal policy that keeps the play inside the agent-losing region."""
+    """Removal policy that keeps the play inside the agent-losing region: at a
+    losing state it keeps the first of the attractor's own branches
+    (`_minimal_menu_survivors`) after which no joint move reaches a winning
+    state, and removes every other edge."""
 
     role = "adversary"
     name = "solved_adversary"
 
     def __init__(self, attractor: Attractor):
         self.attractor = attractor
-        g = attractor.graph
-        self._space = _StateSpace(g, attractor.total_agents, len(attractor.states))
-        # Every removal of the mode, in order, and its survivor id.
-        self._removals = _branch_removals(g, attractor.mode)
-        self._survivors = [self._space.survivor(g.edges - r) for r in self._removals]
-        self._won = np.zeros(len(attractor.states), dtype=bool)
-        self._won[[self._space.id(s) for s in attractor.rank]] = True
 
     def place(self, base: Graph, k_ignorant: int, k_source: int) -> AgentState:
         att = self.attractor
@@ -723,17 +716,19 @@ class SolvedAdversaryPolicy:
         return None
 
     def decide(self, base: Graph, state: AgentState, memory: Hashable):
-        here = canonical(state.config())
-        space = self._space
-        ig_lists, src_lists = (
-            np.array([space.class_targets(ms, sid) for sid in self._survivors]) for ms in here
-        )
-        values, offsets = space.successor_sets(ig_lists, src_lists)
-        # The first removal after which no joint move reaches a winning state.
-        lost = np.flatnonzero(~np.logical_or.reduceat(self._won[values], offsets[:-1]))
-        if lost.size:
-            return self._removals[lost[0]], None
-        return frozenset(), None  # agent-winning state; nothing to defend
+        config, rank = state.config(), self.attractor.rank
+        if canonical_after_conversion(config.ignorant, config.source) in rank:
+            return frozenset(), None  # agent-winning state; nothing to defend
+        for survivor in _minimal_menu_survivors(base, frozenset(state.positions)):
+            adj = Graph(base.node_count, survivor).adjacency()
+            sources = _class_targets(config.source, adj)
+            if not any(
+                canonical_after_conversion(a, c) in rank
+                for a in _class_targets(config.ignorant, adj)
+                for c in sources
+            ):
+                return base.edges - survivor, None
+        raise AssertionError(f"no minimal menu blocks the losing state {config}")
 
 
 # -- model checking a fixed policy ----------------------------------------------------

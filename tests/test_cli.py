@@ -6,7 +6,7 @@ import json
 import pytest
 
 from dynbroadcast.cli import main
-from dynbroadcast.graph import Graph, graph_to_json, make_theta
+from dynbroadcast.graph import Graph, graph_to_json, make_ring, make_theta
 
 # sha256 of every trace file `verify all --output DIR` writes. Any change to
 # a policy, the engine or the trace format that alters one shows up here.
@@ -79,6 +79,22 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["exact"] == 3
         assert doc["largest_matching_bond"] == 3
+
+    def test_bonds_are_enumerated_once(self, capsys, monkeypatch):
+        # Bond enumeration is the only caller of `_connected_within` here, so
+        # its call count measures how often the bonds are enumerated.
+        from dynbroadcast import analysis
+
+        calls = []
+        within = analysis._connected_within
+        monkeypatch.setattr(
+            analysis, "_connected_within", lambda *a: calls.append(a) or within(*a)
+        )
+        analysis.enumerate_bonds(make_ring(6))
+        once = len(calls)
+        code, out, _ = run(capsys, "analyze", "ring:6")
+        assert code == 0 and len(calls) == 2 * once
+        assert json.loads(out)["bond_count"] == 15
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "analyze", "ring:5", "--format", "table")

@@ -1,17 +1,19 @@
 """The solver against the naive minimax in `oracle.py`: game values on every
 connected graph with at most 4 nodes, attractor ranks of every labelled
-state on 5-node graphs, and the moves `SolvedAgentPolicy` picks."""
+state on 5-node graphs, the moves `SolvedAgentPolicy` picks and the removals
+`SolvedAdversaryPolicy` picks."""
 
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from dynbroadcast.engine import AgentState, Configuration, initial_state
-from dynbroadcast.graph import Graph
-from dynbroadcast.policies import PassiveAdversary
+from dynbroadcast.engine import AgentState, Configuration, initial_state, simulate
+from dynbroadcast.graph import Graph, make_grid
+from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
 from dynbroadcast.solver import (
     INFINITE,
+    SolvedAdversaryPolicy,
     SolvedAgentPolicy,
     canonical_after_conversion,
     compute_attractor,
@@ -20,7 +22,7 @@ from dynbroadcast.solver import (
     model_check_policy,
 )
 
-from oracle import ignorant_count, solved_agent_targets, values
+from oracle import ignorant_count, joint_moves, solved_agent_targets, values
 
 
 def connected_atlas(min_nodes: int, max_nodes: int):
@@ -121,3 +123,99 @@ def test_solved_agent_decide_matches_labelled_product(g, agents):
             for s in menus.values():
                 want = solved_agent_targets(att.rank, s, (state.positions, is_source))
                 assert policy.decide(s, state, None) == (want, None), (st, ig_labels)
+
+
+def played_states(att):
+    """Every attractor state that play can hand to a policy's `decide`
+    (converted, not yet solved; co-located agents included), as an
+    `AgentState` with the ignorant agents first."""
+    for st in att.states:
+        if st.ignorant and set(st.ignorant).isdisjoint(st.source):
+            positions = st.ignorant + st.source
+            is_source = (False,) * len(st.ignorant) + (True,) * len(st.source)
+            yield st, AgentState(positions, is_source)
+
+
+def canonical_of(state) -> tuple:
+    """An oracle state as (sorted ignorant nodes, sorted source nodes)."""
+    positions, is_source = state
+    return (
+        tuple(sorted(p for p, s in zip(positions, is_source) if not s)),
+        tuple(sorted(p for p, s in zip(positions, is_source) if s)),
+    )
+
+
+@pytest.mark.parametrize("g, agents", list(solved_agent_cases()))
+def test_solved_adversary_removal_blocks_every_joint_move(g, agents):
+    # A winning state gets no removal. A losing state gets a removal that
+    # keeps the graph connected and after which every labelled joint move
+    # lands outside the attractor.
+    att = compute_attractor(g, agents)
+    policy = SolvedAdversaryPolicy(att)
+    for st, state in played_states(att):
+        removed, _ = policy.decide(g, state, None)
+        if st in att.rank:
+            assert removed == frozenset(), st
+            continue
+        assert removed <= g.edges and g.is_connected(removed), (st, removed)
+        for nxt in joint_moves(g, removed, (state.positions, state.is_source)):
+            assert canonical_of(nxt) not in att.rank, (st, removed, nxt)
+
+
+def distinct_starts(g, k_ignorant):
+    """Every placement of k_ignorant ignorant agents and one source on
+    distinct nodes."""
+    for nodes in combinations(g.nodes, k_ignorant + 1):
+        for src in nodes:
+            yield tuple(v for v in nodes if v != src), (src,)
+
+
+def test_solved_adversary_wins_every_losing_start():
+    # Model-checked against every joint move, not only the agents' best.
+    checked = 0
+    for g in connected_atlas(1, 5):
+        for k in (1, 2):
+            att = compute_attractor(g, k + 1)
+            policy = SolvedAdversaryPolicy(att)
+            for ig, src in distinct_starts(g, k):
+                if (ig, src) in att.rank:
+                    continue
+                res = model_check_policy(g, initial_state(ig, src), policy)
+                assert res.winner == "adversary", (sorted(g.edges), ig, src)
+                checked += 1
+    assert checked == 258
+
+
+def test_solved_adversary_on_a_grid_beyond_global_tree_enumeration():
+    # grid(4, 5) has 31 edges and 20 nodes: C(31, 19) edge subsets are too
+    # many to enumerate its spanning trees, but each state's minimal menus
+    # are few.
+    g = make_grid(4, 5)
+    adv = SolvedAdversaryPolicy(compute_attractor(g, 2))
+    start = adv.place(g, 1, 1)
+    trace = simulate(g, start, TowardSourcePolicy(), adv, max_rounds=60)
+    assert trace.outcome.kind != "solved"
+    assert model_check_policy(g, start, adv).winner == "adversary"
+
+
+def solved_agent_start_cases():
+    """(graph, ignorant agents) for every connected atlas graph with at most
+    5 nodes and one ignorant agent, and for those with at most 6 edges with
+    two, each with one source."""
+    for g in connected_atlas(1, 5):
+        for k in (1, 2):
+            if k + 1 <= g.node_count and (k == 1 or g.edge_count <= 6):
+                yield pytest.param(g, k, id=f"{g.node_count}n{sorted(g.edges)}-k{k}")
+
+
+@pytest.mark.parametrize("g, k", list(solved_agent_start_cases()))
+def test_solved_agent_model_check_equals_attractor_rank(g, k):
+    # Against every connected removal, the extracted policy wins from every
+    # winning start in exactly the attractor's minimax round count.
+    att = compute_attractor(g, k + 1)
+    policy = SolvedAgentPolicy(att)
+    for ig, src in distinct_starts(g, k):
+        rank = att.rank.get((ig, src))
+        if rank is not None:
+            res = model_check_policy(g, initial_state(ig, src), policy)
+            assert res.optimal_rounds == rank, (ig, src)

@@ -8,6 +8,7 @@ import pytest
 from dynbroadcast.engine import RuleViolation, initial_state, simulate, validate_removal
 from dynbroadcast.graph import (
     Graph,
+    GraphError,
     grid_node,
     make_complete,
     make_grid,
@@ -229,6 +230,10 @@ class TestGridFlipflop:
         with pytest.raises(ValueError):
             GridFlipflopAdversary(1, 3)
 
+    def test_grid_over_twelve_nodes_rejected_before_searching(self):
+        with pytest.raises(GraphError, match="12-node grids, not 4x4"):
+            GridFlipflopAdversary(4, 4)
+
 
 class TestBondBlocker:
     def make_bond_graph(self):
@@ -302,6 +307,13 @@ class TestCliqueAndLollipop:
         adv = RandomTreeAdversary(seed=3)
         trace = simulate(g, state, pol, adv, max_rounds=100)
         assert trace.outcome.kind == "solved"
+
+    def test_cliques_over_six_nodes_are_rejected_before_solving(self):
+        state = initial_state([1, 2], [0])
+        with pytest.raises(ValueError, match="larger than 6"):
+            CliquePolicy().initial_memory(make_complete(7), state)
+        with pytest.raises(ValueError, match="larger than 6"):
+            LollipopPolicy().initial_memory(make_lollipop(5, 2), state)
 
     def test_lollipop_policy_marches_path_agents_in(self):
         g = make_lollipop(2, 3)

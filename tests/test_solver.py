@@ -28,7 +28,6 @@ from dynbroadcast.solver import (
     _canonical_graph,
     _minimal_menu_survivors,
     agents_can_win,
-    canonical,
     canonical_after_conversion,
     compute_attractor,
     connected_removals,
@@ -429,11 +428,6 @@ class TestStructuralProperties:
             with pytest.raises(ValueError):
                 solvable(g, k, k_source=k_source)
         assert solvable(g, 0)
-
-    def test_canonical_sorts_classes(self):
-        c = canonical(Configuration((3, 1), (5, 2)))
-        assert c.ignorant == (1, 3)
-        assert c.source == (2, 5)
 
     def test_agents_can_win_matches_solvable(self):
         g = make_path(5)
