@@ -185,20 +185,16 @@ class TimingBounds:
     first_new_source: int
     all_sources: int
 
-    @staticmethod
-    def of(n: int, x: int, y: int) -> "TimingBounds":
-        return TimingBounds(
-            first_new_source=ceil((n - x - y + 1) / 2),
-            all_sources=ceil((n - y) / 2),
-        )
-
 
 def timing_bounds(n: int, x: int, y: int) -> TimingBounds:
     """Worst-case rounds for the first conversion and for full broadcast when
     x agents roam and y agents (including the source) hold a connected block."""
     if y < 1 or x < 0 or x + y > n:
         raise ValueError("invalid agent split")
-    return TimingBounds.of(n, x, y)
+    return TimingBounds(
+        first_new_source=ceil((n - x - y + 1) / 2),
+        all_sources=ceil((n - y) / 2),
+    )
 
 
 def tree_meeting_bound(diameter: int) -> int:

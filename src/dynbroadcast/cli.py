@@ -22,6 +22,7 @@ from .analysis import (
 )
 from .engine import (
     AgentState,
+    Configuration,
     Outcome,
     RuleViolation,
     Trace,
@@ -313,33 +314,22 @@ def cmd_solve(args, out) -> int:
         if args.value:
             ig = [int(t) for t in args.ignorant.split("+") if t]
             src = [int(t) for t in args.source.split("+") if t]
-            from .engine import Configuration
-
             val = game_value(
                 g,
                 Configuration(tuple(ig), tuple(src)),
                 objective=args.objective,
-                mode=args.mode,
                 budget_states=args.budget_states,
             )
             doc["game_value"] = val if val != float("inf") else "inf"
         elif args.k is not None:
             doc["k"] = args.k
             doc["solvable"] = solvable(
-                g,
-                args.k,
-                placement=args.placement,
-                mode=args.mode,
-                budget_states=args.budget_states,
+                g, args.k, placement=args.placement, budget_states=args.budget_states
             )
         else:
             doc["k_max"] = args.k_max
             doc["min_agents"] = min_agents(
-                g,
-                args.k_max,
-                placement=args.placement,
-                mode=args.mode,
-                budget_states=args.budget_states,
+                g, args.k_max, placement=args.placement, budget_states=args.budget_states
             )
     except BudgetExceeded as exc:
         doc["error"] = f"budget exceeded: {exc}"
@@ -492,28 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-rounds", type=int, default=500, dest="max_rounds")
-    common.add_argument(
-        "--budget-states", type=int, default=2_000_000, dest="budget_states"
-    )
-    common.add_argument("--output", default=None)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-
-    def sub_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub_parser("generate", help="build a family graph and write its JSON")
+    p = sub.add_parser("generate", help="build a family graph and write its JSON")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
+    p.add_argument("--output", default=None, help="graph JSON file (default: stdout)")
 
-    p = sub_parser("analyze", help="density, connectivity, bonds, agent bounds")
+    p = sub.add_parser("analyze", help="density, connectivity, bonds, agent bounds")
     p.add_argument("graph")
+    p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub_parser("simulate", help="run one agents-vs-adversary experiment")
+    p = sub.add_parser("simulate", help="run one agents-vs-adversary experiment")
     p.add_argument("graph", nargs="?")
     p.add_argument("--spec", default=None, help="JSON experiment file")
     p.add_argument("--agents", default="toward_source")
@@ -521,24 +501,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--k-source", type=int, default=1, dest="k_source")
     p.add_argument("--placement", default="auto")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-rounds", type=int, default=500, dest="max_rounds")
+    p.add_argument("--budget-states", type=int, default=2_000_000, dest="budget_states")
+    p.add_argument("--output", default=None, help="trace JSON file")
 
-    p = sub_parser("solve", help="exact solver: min agents / solvability / value")
+    p = sub.add_parser("solve", help="exact solver: min agents / solvability / value")
     p.add_argument("graph")
     p.add_argument("--k-max", type=int, default=4, dest="k_max")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--placement", default="adversarial")
-    p.add_argument("--mode", choices=("spanning_trees", "all_subsets"), default="spanning_trees")
     p.add_argument("--value", action="store_true", help="compute game value instead")
     p.add_argument("--ignorant", default="")
     p.add_argument("--source", default="")
     p.add_argument(
         "--objective", choices=("all_sources", "first_new_source"), default="all_sources"
     )
+    p.add_argument("--budget-states", type=int, default=2_000_000, dest="budget_states")
+    p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
+    p.add_argument("--output", default=None, help="directory for the trace files")
 
-    p = sub_parser("check-trace", help="re-validate a stored trace file")
+    p = sub.add_parser("check-trace", help="re-validate a stored trace file")
     p.add_argument("trace")
 
     return parser

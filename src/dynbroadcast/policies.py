@@ -24,6 +24,7 @@ from .graph import (
     grid_node,
     is_connected,
     make_complete,
+    make_grid,
     theta_layout,
 )
 
@@ -419,10 +420,20 @@ class GridFlipflopAdversary:
     def __init__(self, rows: int, cols: int):
         if rows * cols < 6:
             raise ValueError("flip-flop requires a grid with more than 2x2 cells")
+        if cols < 2:
+            raise ValueError("flip-flop requires a grid with at least 2 columns")
+        # Larger grids are not searched: their Hamiltonian paths grow
+        # exponentially, and the serpentine alone gave no construction on any
+        # grid from 2x7 to 6x6.
+        if rows * cols > MAX_FLIPFLOP_NODES:
+            raise GraphError(
+                f"flip-flop search limited to {MAX_FLIPFLOP_NODES}-node grids, not {rows}x{cols}"
+            )
         self.rows = rows
         self.cols = cols
         self.name = f"grid_flipflop:{rows}x{cols}"
-        self._prepared = self._search(rows, cols)
+        self._grid = make_grid(rows, cols)
+        self._prepared = self._search(self._grid, rows, cols)
 
     # -- construction ------------------------------------------------------------
 
@@ -441,17 +452,7 @@ class GridFlipflopAdversary:
             yield sorted(ignorant), [grid_node(rows, cols, 0, 0)]
 
     @classmethod
-    def _search(cls, rows: int, cols: int):
-        from .graph import make_grid
-
-        # Larger grids are not searched: their Hamiltonian paths grow
-        # exponentially, and the serpentine alone gave no construction on any
-        # grid from 2x7 to 6x6.
-        if rows * cols > MAX_FLIPFLOP_NODES:
-            raise GraphError(
-                f"flip-flop search limited to {MAX_FLIPFLOP_NODES}-node grids, not {rows}x{cols}"
-            )
-        base = make_grid(rows, cols)
+    def _search(cls, base: Graph, rows: int, cols: int):
         greedy = GreedyPathPolicy()
         snake = _path_edges(_serpentine(rows, cols))
         pool = [snake] + [
@@ -507,6 +508,8 @@ class GridFlipflopAdversary:
         return s0
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
+        if base != self._grid:
+            raise GraphError(f"{self.name} plays only on the {self.rows}x{self.cols} grid")
         return 0
 
     def decide(self, base: Graph, state: AgentState, memory: int):
@@ -737,10 +740,8 @@ class ThetaBroadcastPolicy:
     def _run_phase1(self, surviving, ctx, data):
         layout = ctx.layout
         targets: dict[int, int] = {}
-        site = ctx.double_source_site()
-        if site is None:
-            return targets, data
-        kind, where, pair = site
+        # `_check_exit` yields phase 1 only when `_classify` did, so a site exists.
+        kind, where, pair = ctx.double_source_site()
         if kind == "pole":
             mover = pair[0]
             targets[mover] = self._enter_lowest_path(surviving, ctx, mover)
@@ -924,18 +925,18 @@ class ThetaBroadcastPolicy:
                     break
             if target is None:
                 target = 0
-            sn = min(ctx.sources_at(layout.north), default=None)
-            ss = min(ctx.sources_at(layout.south), default=None)
+            # Phase 5 starts with empty data only when `_classify` gave phase
+            # 5, so both poles hold a source.
+            sn = min(ctx.sources_at(layout.north))
+            ss = min(ctx.sources_at(layout.south))
             data = (target, sn, ss)
         target, sn, ss = data
-        targets: dict[int, int] = {}
-        if sn is not None:
-            ctx.ident.setdefault(sn, target)
-            targets[sn] = self._step(surviving, ctx, sn, layout.south, path=target)
-        if ss is not None:
-            ctx.ident.setdefault(ss, target)
-            targets[ss] = self._step(surviving, ctx, ss, layout.north, path=target)
-        return targets, data
+        ctx.ident.setdefault(sn, target)
+        ctx.ident.setdefault(ss, target)
+        return {
+            sn: self._step(surviving, ctx, sn, layout.south, path=target),
+            ss: self._step(surviving, ctx, ss, layout.north, path=target),
+        }, data
 
     # -- movement helpers ------------------------------------------------------------------
 

@@ -58,8 +58,9 @@ incomparable. Every minimal menu is also the menu of a global spanning tree,
 so ranks equal those of branching over every spanning tree of the graph.
 `SolvedAdversaryPolicy` plays these same branches: at a losing state, the
 first survivor of `_minimal_menu_survivors` after which every successor loses.
-The `all_subsets` mode branches over every connected removal, unreduced; it
-is the reference the reduction is tested against.
+`compute_attractor(g, total_agents, "all_subsets")` branches over every
+connected removal, unreduced; it is the reference the reduction is tested
+against, and no other entry point selects it.
 
 Storage of the canonical game graph (`_StateSpace`):
 
@@ -516,17 +517,6 @@ def compute_attractor(
 # -- public solver operations ------------------------------------------------------
 
 
-def agents_can_win(
-    g: Graph,
-    state: CanonicalState | Configuration,
-    mode: Mode = "spanning_trees",
-    budget_states: int = DEFAULT_BUDGET_STATES,
-) -> bool:
-    state = canonical_after_conversion(state.ignorant, state.source)
-    att = compute_attractor(g, len(state.ignorant) + len(state.source), mode, budget_states)
-    return att.wins(state)
-
-
 def _initial_states(g: Graph, k_ignorant: int, k_source: int) -> list[CanonicalState]:
     """All placements on distinct nodes, up to same-class permutation."""
     out = []
@@ -542,21 +532,29 @@ def solvable(
     k: int,
     placement: Placement | Configuration = "adversarial",
     k_source: int = 1,
-    mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> bool:
-    """Whether the agents can force broadcast with k ignorant agents.
+    """Whether the agents can force broadcast with k ignorant agents and
+    k_source sources.
 
     adversarial: the agents must win from every distinct-node placement;
-    agents_choose: from some placement; a Configuration: from that one.
+    agents_choose: from some placement; a Configuration: from that one, which
+    must hold k ignorant agents and k_source sources.
     """
     if k < 0 or k_source < 1:
         raise ValueError("need k >= 0 ignorant agents and k_source >= 1 sources")
     if isinstance(placement, Configuration):
-        return agents_can_win(g, placement, mode, budget_states)
+        counts = (len(placement.ignorant), len(placement.source))
+        if counts != (k, k_source):
+            raise ValueError(
+                f"configuration has {counts[0]} ignorant and {counts[1]} source "
+                f"agents, not k={k} and k_source={k_source}"
+            )
+        att = compute_attractor(g, k + k_source, budget_states=budget_states)
+        return att.wins(canonical_after_conversion(placement.ignorant, placement.source))
     if k + k_source > g.node_count:
         raise ValueError("more agents than nodes")
-    att = compute_attractor(g, k + k_source, mode, budget_states)
+    att = compute_attractor(g, k + k_source, budget_states=budget_states)
     initials = _initial_states(g, k, k_source)
     if placement == "adversarial":
         return all(att.wins(s) for s in initials)
@@ -569,7 +567,6 @@ def min_agents(
     g: Graph,
     k_max: int,
     placement: Placement = "adversarial",
-    mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | None:
     """Smallest k with solvable(g, k), or None if every k <= k_max fails.
@@ -581,7 +578,7 @@ def min_agents(
     last_decided = 0
     for k in range(1, k_max + 1):
         try:
-            if solvable(g, k, placement, mode=mode, budget_states=budget_states):
+            if solvable(g, k, placement, budget_states=budget_states):
                 return k
         except BudgetExceeded as exc:
             raise BudgetExceeded(
@@ -598,14 +595,13 @@ def game_value(
     g: Graph,
     state: CanonicalState | Configuration,
     objective: Objective = "all_sources",
-    mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | float:
     """Minimax round count until the objective event; inf if the adversary wins."""
     state = canonical_after_conversion(state.ignorant, state.source)
     total = len(state.ignorant) + len(state.source)
     if objective == "all_sources":
-        r = compute_attractor(g, total, mode, budget_states).rank.get(state)
+        r = compute_attractor(g, total, budget_states=budget_states).rank.get(state)
         return INFINITE if r is None else r
     if objective != "first_new_source":
         raise ValueError(f"unknown objective {objective!r}")
@@ -615,7 +611,9 @@ def game_value(
         return INFINITE  # nobody can ever convert
     i0 = len(state.ignorant)
     # Play stays in the layer with i0 ignorant agents until the goal.
-    space, graph = _canonical_graph(g, total, mode, budget_states, range(i0, i0 + 1))
+    space, graph = _canonical_graph(
+        g, total, "spanning_trees", budget_states, range(i0, i0 + 1)
+    )
     r = int(_solve(np.arange(space.layer[-1]) < space.layer[i0], graph)[space.id(state)])
     return INFINITE if r < 0 else r
 

@@ -250,6 +250,26 @@ class TestSimulate:
         code, out, _ = run(capsys, *argv, "--k", "2")
         assert code == 0 and "outcome=solved" in out
 
+    @pytest.mark.parametrize(
+        "graph,adversary,k,message",
+        [
+            ("grid:6,1", "grid_flipflop:6x1", "5", "at least 2 columns"),
+            ("grid:3,3", "grid_flipflop:3x4", "7", "grid_flipflop:3x4 plays only on the 3x4 grid"),
+        ],
+    )
+    def test_flipflop_off_its_grid_is_diagnostic(self, capsys, graph, adversary, k, message):
+        code, out, err = run(
+            capsys,
+            "simulate", graph,
+            "--agents", "greedy_path",
+            "--adversary", adversary,
+            "--k", k,
+            "--placement", "adversary",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_spec_file(self, capsys, tmp_path):
         spec = {
             "graph": "path:5",
@@ -371,3 +391,21 @@ class TestVerify:
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "--budget-states", "1"),
+        ("check-trace", "t.json", "--seed", "1"),
+        ("generate", "path", "5", "--format", "table"),
+        ("analyze", "ring:5", "--output", "x"),
+        ("simulate", "path:5", "--format", "json"),
+        ("solve", "ring:5", "--mode", "all_subsets"),
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
