@@ -308,28 +308,35 @@ def _outcome_detail(oc: Outcome) -> str:
 
 
 def cmd_solve(args, out) -> int:
+    if args.value and args.placement is not None:
+        args.usage_error("--placement applies only without --value")
+    if not args.value:
+        for flag in ("ignorant", "source", "objective"):
+            if getattr(args, flag) is not None:
+                args.usage_error(f"--{flag} applies only with --value")
     g = _load_graph(args.graph)
     doc: dict = {"nodes": g.node_count, "edges": g.edge_count}
+    placement = args.placement or "adversarial"
     try:
         if args.value:
-            ig = [int(t) for t in args.ignorant.split("+") if t]
-            src = [int(t) for t in args.source.split("+") if t]
+            ig = [int(t) for t in (args.ignorant or "").split("+") if t]
+            src = [int(t) for t in (args.source or "").split("+") if t]
             val = game_value(
                 g,
                 Configuration(tuple(ig), tuple(src)),
-                objective=args.objective,
+                objective=args.objective or "all_sources",
                 budget_states=args.budget_states,
             )
             doc["game_value"] = val if val != float("inf") else "inf"
         elif args.k is not None:
             doc["k"] = args.k
             doc["solvable"] = solvable(
-                g, args.k, placement=args.placement, budget_states=args.budget_states
+                g, args.k, placement=placement, budget_states=args.budget_states
             )
         else:
             doc["k_max"] = args.k_max
             doc["min_agents"] = min_agents(
-                g, args.k_max, placement=args.placement, budget_states=args.budget_states
+                g, args.k_max, placement=placement, budget_states=args.budget_states
             )
     except BudgetExceeded as exc:
         doc["error"] = f"budget exceeded: {exc}"
@@ -508,17 +515,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact solver: min agents / solvability / value")
     p.add_argument("graph")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--placement", default="adversarial")
-    p.add_argument("--value", action="store_true", help="compute game value instead")
-    p.add_argument("--ignorant", default="")
-    p.add_argument("--source", default="")
+    question = p.add_mutually_exclusive_group()
+    question.add_argument("--k-max", type=int, default=4, dest="k_max")
+    question.add_argument("--k", type=int, default=None)
+    question.add_argument("--value", action="store_true", help="compute game value instead")
+    # None marks a flag not given, so that cmd_solve can reject it.
+    p.add_argument("--placement", default=None, help="without --value (default: adversarial)")
+    p.add_argument("--ignorant", default=None, help="with --value")
+    p.add_argument("--source", default=None, help="with --value")
     p.add_argument(
-        "--objective", choices=("all_sources", "first_new_source"), default="all_sources"
+        "--objective",
+        choices=("all_sources", "first_new_source"),
+        default=None,
+        help="with --value (default: all_sources)",
     )
     p.add_argument("--budget-states", type=int, default=2_000_000, dest="budget_states")
     p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")

@@ -39,14 +39,18 @@ class FamilyInfo:
 class Graph:
     """Undirected simple connected graph on nodes 0..node_count-1.
 
-    ``adjacency()`` is memoised on the instance. That is safe because the
-    graph is frozen; the memo takes no part in equality, hashing or repr.
+    ``adjacency()`` and ``automorphisms(g)`` are memoised on the instance.
+    That is safe because the graph is frozen; the memos take no part in
+    equality, hashing or repr.
     """
 
     node_count: int
     edges: frozenset[Edge]
     family: FamilyInfo | None = field(default=None, compare=False, hash=False)
     _adjacency: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _automorphisms: tuple[tuple[int, ...], ...] | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -154,6 +158,64 @@ def _spans(adj) -> bool:
                 count += 1
                 stack.append(w)
     return count == node_count
+
+
+MAX_AUTOMORPHISMS = 5040  # 7!; the solver makes one pass over its states per element
+
+
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of g, as image tuples (sigma[v] is the image of v)
+    in lexicographic order; empty when there are more than MAX_AUTOMORPHISMS.
+
+    A backtracking search maps the nodes in BFS order. A node's image must
+    have its degree, be a neighbour of its BFS parent's image, and agree on
+    adjacency with every node mapped before it. Memoised on the instance.
+    """
+    found = g._automorphisms
+    if found is None:
+        found = _automorphism_search(g)
+        object.__setattr__(g, "_automorphisms", found)
+    return found
+
+
+def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
+    adj = g.adjacency()
+    near = [frozenset(nbrs) for nbrs in adj]
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
+    for root in g.nodes:  # one BFS per component
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        order += queue
+    image = [-1] * g.node_count
+    used = [False] * g.node_count
+    found: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> bool:
+        """Map order[i:] in every consistent way; True once too many are found."""
+        if i == len(order):
+            found.append(tuple(image))
+            return len(found) > MAX_AUTOMORPHISMS
+        v, p = order[i], parent[order[i]]
+        for w in g.nodes if p is None else adj[image[p]]:
+            if used[w] or len(adj[w]) != len(adj[v]):
+                continue
+            if any((u in near[v]) != (image[u] in near[w]) for u in order[:i]):
+                continue
+            image[v], used[w] = w, True
+            if extend(i + 1):
+                return True
+            used[w] = False
+        return False
+
+    return () if extend(0) else tuple(sorted(found))
 
 
 def edge_density(g: Graph) -> Fraction:

@@ -69,26 +69,59 @@ Storage of the canonical game graph (`_StateSpace`):
   with i ignorant agents, and a state's id is
   layer[i] + rank(ignorant) * width[total - i] + rank(source), where
   width[m] is the number of m-multisets. One int32 array `conv` maps the id
-  of every (ignorant, source) pair to the id of its state after conversion.
+  of every (ignorant, source) pair to the representative (below) of its
+  state after conversion.
 - Interned sets. Over one surviving edge set, a class of agents at multiset
   M can move to a list of distinct target multisets, stored as their sorted
   ranks and interned. A branch's successor set is fixed by its pair of
   target lists (the ignorant class's and the source class's), so branches
   with equal pairs share one stored set.
-- The kernel. The set of lists (A, C) with i ignorant agents is
-  conv[layer[i] + a * width[total - i] + c] over a in A and c in C. It is
-  built in numpy, over chunks of about CHUNK_ENTRIES product entries.
-  Only the entries that conversion moved are deduplicated. Distinct (a, c)
-  give distinct ids before conversion. An entry that conversion leaves
-  alone is a fixed point of `conv` in layer i, and a converted entry lands in
-  a lower layer, because at least one ignorant agent became a source. So an
-  unconverted entry can meet neither another unconverted entry nor a
-  converted one; only converted entries can collide.
+- The kernel. The set of lists (A, C) with i ignorant agents holds the
+  distinct conv[layer[i] + a * width[total - i] + c] over a in A and c in C.
+  It is built in numpy, over chunks of about CHUNK_ENTRIES product entries.
+  Every entry is deduplicated: distinct (a, c) can reach one representative,
+  through conversion or as two states of one orbit.
+
+Symmetry (Emerson & Sistla, "Symmetry and model checking", 1996; Ip & Dill,
+"Better verification through symmetry", 1996). An automorphism sigma of g
+maps edges to edges; it acts on a state by relabelling every position.
+Ranks are invariant: rank(sigma(s)) = rank(s).
+
+- sigma maps a surviving edge set S to sigma(S), which is connected iff S
+  is, so it permutes the connected survivors. It maps the occupied set O to
+  sigma(O) and the menu of S at O to the menu of sigma(S) at sigma(O), and it
+  preserves inclusion, so it maps the minimal menus of s onto those of
+  sigma(s).
+- An agent at v over S stays or crosses an edge (v, w) of S; its image stays
+  at sigma(v) or crosses (sigma(v), sigma(w)) of sigma(S). So the joint moves
+  from s over S map one to one onto those from sigma(s) over sigma(S).
+- Conversion asks only which nodes hold a source, so it commutes with sigma,
+  and sigma keeps the number of ignorant agents, so it fixes the goal.
+
+So sigma is an automorphism of the game graph, and by induction on the wave,
+s is decided at wave w iff sigma(s) is.
+
+`_StateSpace` keeps rep[id], the least id of sigma(state) over the identity
+and every sigma in the group G = `automorphisms(g)`. G is a group, so this
+is the least id in the state's orbit: rep is constant on orbits and fixes
+one state per orbit, its representative. Branches are built only at
+representatives, and every successor x is stored as rep(x). The quotient
+fixpoint gives each representative t its full rank. By induction on w: a
+goal t has rank 0 in both. Otherwise t has the same branches in both games,
+and it is decided by wave w in the quotient iff every branch has a successor
+x with rep(x) decided before wave w, iff (induction) rank(rep(x)) < w, iff
+rank(x) < w, since rep(x) lies in the orbit of x. That is the full game's
+condition. Every other state reads its rank at rep(state). Any subset of
+Aut(g) keeps rank(rep(x)) = rank(x); closure is what makes rep fix its own
+values, so that every rep(x) has branches. When Aut(g) has more than
+`MAX_AUTOMORPHISMS` elements, `automorphisms` returns none, and the group is
+the identity alone; so it is for `all_subsets`, the unreduced reference.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -97,7 +130,7 @@ from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 import numpy as np
 
 from .engine import AgentState, Configuration, _convert, _move, _surviving_graph, initial_state
-from .graph import Edge, Graph, is_connected
+from .graph import Edge, Graph, automorphisms, is_connected
 
 DEFAULT_BUDGET_STATES = 300_000
 
@@ -212,6 +245,7 @@ def _class_targets(ms: tuple[int, ...], adj) -> set[tuple[int, ...]]:
 # -- the game graph and its one fixpoint -----------------------------------------
 
 CHUNK_ENTRIES = 8192  # product entries per kernel pass; larger chunks raise peak RSS
+REP_BLOCK_ROWS = 1 << 14  # multisets ranked per pass of _representatives
 
 
 class _GameGraph(NamedTuple):
@@ -263,8 +297,9 @@ class Attractor:
     total_agents: int
     states: list[CanonicalState]  # in state id order
     rank: dict[CanonicalState, int]  # winning states only; rank = minimax rounds to goal
-    branches: int  # (state, adversary branch) pairs of the game graph
-    successor_entries: int  # summed over branches: successor states per branch
+    # Counts of the game graph over orbit representatives (module docstring):
+    branches: int  # (representative, adversary branch) pairs
+    successor_entries: int  # summed over branches: successor representatives per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
 
     def wins(self, state: CanonicalState) -> bool:
@@ -284,7 +319,9 @@ class _StateSpace:
     """Ranked ids of the canonical states with `total` agents on `g`, and the
     successor sets of their branches (see the module docstring)."""
 
-    def __init__(self, g: Graph, total: int, budget_states: int):
+    def __init__(
+        self, g: Graph, total: int, budget_states: int, group: Iterable[tuple[int, ...]]
+    ):
         n = g.node_count
         self.width = [comb(n + m - 1, m) for m in range(total + 1)]
         self.layer = [0]  # layer[i]: id of the first state with i ignorant agents
@@ -299,7 +336,9 @@ class _StateSpace:
             list(combinations_with_replacement(range(n), m)) for m in range(total + 1)
         ]
         self.rank = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
-        self.conv = self._conversions()
+        self.rep = self._representatives(group)
+        # conv[id of an (ignorant, source) pair] = rep of its state after conversion.
+        self.conv = self.rep[self._conversions()]
         self._survivor_ids: dict[frozenset[Edge], int] = {}
         self._adjacency: list[tuple[tuple[int, ...], ...]] = []  # per survivor
         # Target-list id of a class, keyed by its multiset and its nodes'
@@ -322,6 +361,42 @@ class _StateSpace:
         n_ig, n_src = len(st.ignorant), len(st.source)
         ig, src = self.rank[n_ig][st.ignorant], self.rank[n_src][st.source]
         return self.layer[n_ig] + ig * self.width[n_src] + src
+
+    def state(self, i: int) -> CanonicalState:
+        """The state with id i."""
+        n_ig = bisect_right(self.layer, i) - 1
+        ig, src = divmod(i - self.layer[n_ig], self.width[self.total - n_ig])
+        return CanonicalState(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
+
+    def _representatives(self, group: Iterable[tuple[int, ...]]) -> np.ndarray:
+        """rep[id] = the least id of sigma(state) over the identity and every
+        sigma in `group`: a running minimum, so that peak memory stays
+        O(states). The ranks of the image multisets are found for a block of
+        sigmas at a time, REP_BLOCK_ROWS rows per multiset size."""
+        # Each m-multiset as a row, and its base-n code, which grows with its rank.
+        mats = [
+            np.array(mss, dtype=np.int64).reshape(len(mss), m)
+            for m, mss in enumerate(self.multisets)
+        ]
+        weights = [self.n ** np.arange(m - 1, -1, -1, dtype=np.int64) for m in range(len(mats))]
+        codes = [mat @ w for mat, w in zip(mats, weights)]
+        perms = np.array(group, dtype=np.int64).reshape(-1, self.n)
+        step = max(1, REP_BLOCK_ROWS // max(map(len, mats)))
+        rep = np.arange(self.layer[-1], dtype=np.int32)
+        for lo in range(0, len(perms), step):
+            ranks = []  # ranks[m][j, r]: rank of the image of m-multiset r under sigma j
+            for mat, w, code in zip(mats, weights, codes):
+                moved = perms[lo : lo + step, mat]
+                # A stable argsort stands in for np.sort, as in the kernel.
+                moved = np.take_along_axis(moved, np.argsort(moved, axis=2, kind="stable"), 2)
+                ranks.append(np.searchsorted(code, moved @ w))
+            for n_ig in range(self.total):
+                n_src = self.total - n_ig
+                here = rep[self.layer[n_ig] : self.layer[n_ig + 1]]
+                for r_ig, r_src in zip(ranks[n_ig], ranks[n_src]):
+                    image = self.layer[n_ig] + r_ig[:, None] * self.width[n_src] + r_src
+                    np.minimum(here, image.ravel(), out=here)
+        return rep
 
     def _conversions(self) -> np.ndarray:
         """conv[id before conversion] = id after conversion."""
@@ -368,9 +443,9 @@ class _StateSpace:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Values and offsets of the successor sets (ig_lists[s], src_lists[s]).
 
-        Set s is conv[layer + a * width + c] over the ranks a of target list
-        ig_lists[s] and c of src_lists[s], built in chunks of about
-        CHUNK_ENTRIES product entries.
+        Set s holds the distinct conv[layer + a * width + c] over the ranks a
+        of target list ig_lists[s] and c of src_lists[s], in increasing order,
+        built in chunks of about CHUNK_ENTRIES product entries.
         """
         lists = np.frombuffer(self._list_values, dtype=np.int32)
         starts = np.frombuffer(self._list_starts, dtype=np.int64)
@@ -391,20 +466,17 @@ class _StateSpace:
             row_id = base[row_set] + lists[_ranges(a_start[lo:hi], a_len[lo:hi])] * mult[row_set]
             row_len = c_len[row_set]
             pre = np.repeat(row_id, row_len) + lists[_ranges(c_start[row_set], row_len)]
-            s = np.repeat(row_set - lo, row_len)  # set of each entry, chunk-local
-            post = self.conv[pre]
-            moved = post != pre
-            # Only converted entries can coincide (see the module docstring).
+            # (chunk-local set, representative) of each entry, sorted and
+            # deduplicated: distinct entries may reach one representative.
             # A stable argsort and a mask stand in for np.unique, which imports
             # numpy.ma, and for np.sort: each would map more of numpy (1.8 and
             # 0.4 MiB of peak RSS on a run that solves only small graphs).
-            merged = s[moved].astype(np.int64) * n_states + post[moved]
+            merged = np.repeat(row_set - lo, row_len).astype(np.int64) * n_states
+            merged += self.conv[pre]
             merged = merged[np.argsort(merged, kind="stable")]
             merged = merged[np.diff(merged, prepend=-1) != 0]
-            owner = np.concatenate((s[~moved], merged // n_states))
-            sizes[lo:hi] = np.bincount(owner, minlength=hi - lo)
-            vals = np.concatenate((post[~moved], merged % n_states), dtype=np.int32)
-            return vals[np.argsort(owner, kind="stable")]
+            sizes[lo:hi] = np.bincount(merged // n_states, minlength=hi - lo)
+            return (merged % n_states).astype(np.int32)
 
         # bounds[s]: product entries of the sets before set s. A chunk takes
         # sets while they fit in CHUNK_ENTRIES entries, and at least one.
@@ -427,8 +499,10 @@ def _canonical_graph(
     layers: range,
 ) -> tuple[_StateSpace, _GameGraph]:
     """The canonical states, and the game graph with the adversary branches of
-    `mode` at every state whose ignorant count is in `layers`."""
-    space = _StateSpace(g, total_agents, budget_states)
+    `mode` at every orbit representative whose ignorant count is in `layers`.
+    `all_subsets` uses the trivial group, so every state represents itself."""
+    group = automorphisms(g) if mode == "spanning_trees" else ()
+    space = _StateSpace(g, total_agents, budget_states, group)
     if mode == "spanning_trees":
         by_occupied: dict[frozenset[int], list[int]] = {}
 
@@ -453,21 +527,19 @@ def _canonical_graph(
     # class multiset and the occupied set.
     by_class: dict[tuple[tuple[int, ...], frozenset[int]], array] = {}
     ig_lists, src_lists, counts = array("i"), array("i"), array("i")
-    for n_ig in layers:
-        for st in space.states(n_ig):
-            occupied = frozenset(st.ignorant + st.source)
-            sids = menu(occupied)
-            for ms, out in ((st.ignorant, ig_lists), (st.source, src_lists)):
-                tids = by_class.get((ms, occupied))
-                if tids is None:
-                    tids = array("i", [space.class_targets(ms, sid) for sid in sids])
-                    by_class[(ms, occupied)] = tids
-                out.extend(tids)
-            counts.append(len(sids))
-    owner = np.repeat(
-        np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32),
-        np.frombuffer(counts, dtype=np.int32),
-    )
+    ids = np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32)
+    reps = ids[space.rep[ids] == ids]
+    for st in map(space.state, reps.tolist()):
+        occupied = frozenset(st.ignorant + st.source)
+        sids = menu(occupied)
+        for ms, out in ((st.ignorant, ig_lists), (st.source, src_lists)):
+            tids = by_class.get((ms, occupied))
+            if tids is None:
+                tids = array("i", [space.class_targets(ms, sid) for sid in sids])
+                by_class[(ms, occupied)] = tids
+            out.extend(tids)
+        counts.append(len(sids))
+    owner = np.repeat(reps, np.frombuffer(counts, dtype=np.int32))
     # Interned sets: one per distinct pair of target lists.
     n_lists = len(space._list_sizes) or 1
     pairs = np.frombuffer(ig_lists, dtype=np.int32).astype(np.int64) * n_lists
@@ -498,7 +570,7 @@ def compute_attractor(
         g, total_agents, mode, budget_states, range(1, total_agents)
     )
     states = [st for n_ig in range(total_agents) for st in space.states(n_ig)]
-    rank_arr = _solve(np.arange(len(states)) < space.layer[1], graph)
+    rank_arr = _solve(np.arange(len(states)) < space.layer[1], graph)[space.rep]
     rank = {states[i]: int(rank_arr[i]) for i in np.flatnonzero(rank_arr >= 0)}
     set_sizes = np.diff(graph.offsets)
     result = Attractor(
@@ -515,6 +587,12 @@ def compute_attractor(
 
 
 # -- public solver operations ------------------------------------------------------
+
+
+def _check_positions(g: Graph, state: CanonicalState | Configuration) -> None:
+    for p in state.ignorant + state.source:
+        if not 0 <= p < g.node_count:
+            raise ValueError(f"position {p} is not a node of the graph (0..{g.node_count - 1})")
 
 
 def _initial_states(g: Graph, k_ignorant: int, k_source: int) -> list[CanonicalState]:
@@ -550,6 +628,7 @@ def solvable(
                 f"configuration has {counts[0]} ignorant and {counts[1]} source "
                 f"agents, not k={k} and k_source={k_source}"
             )
+        _check_positions(g, placement)
         att = compute_attractor(g, k + k_source, budget_states=budget_states)
         return att.wins(canonical_after_conversion(placement.ignorant, placement.source))
     if k + k_source > g.node_count:
@@ -598,6 +677,7 @@ def game_value(
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | float:
     """Minimax round count until the objective event; inf if the adversary wins."""
+    _check_positions(g, state)
     state = canonical_after_conversion(state.ignorant, state.source)
     total = len(state.ignorant) + len(state.source)
     if objective == "all_sources":
@@ -614,7 +694,8 @@ def game_value(
     space, graph = _canonical_graph(
         g, total, "spanning_trees", budget_states, range(i0, i0 + 1)
     )
-    r = int(_solve(np.arange(space.layer[-1]) < space.layer[i0], graph)[space.id(state)])
+    rank = _solve(np.arange(space.layer[-1]) < space.layer[i0], graph)
+    r = int(rank[space.rep[space.id(state)]])
     return INFINITE if r < 0 else r
 
 

@@ -319,6 +319,37 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("objective", ["all_sources", "first_new_source"])
+    @pytest.mark.parametrize("position", ["9", "-1"])
+    def test_off_graph_position_is_diagnostic(self, capsys, objective, position):
+        code, out, err = run(
+            capsys, "solve", "path:5", "--value", "--ignorant", position, "--source", "0",
+            "--objective", objective,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: position {position} is not a node")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--value", "--ignorant", "0", "--source", "2", "--k", "3", "--k-max", "1",
+                 "--placement", "nonsense"],
+                "not allowed with argument",
+            ),
+            (["--k", "1", "--ignorant", "3", "--objective", "first_new_source"],
+             "--ignorant applies only with --value"),
+            (["--value", "--ignorant", "0", "--source", "2", "--placement", "adversarial"],
+             "--placement applies only without --value"),
+        ],
+    )
+    def test_flags_of_other_questions_are_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "path:5", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_budget_exit_four(self, capsys):
         code, out, _ = run(
             capsys, "solve", "theta:4,4,4", "--k-max", "3", "--budget-states", "10"

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynbroadcast.graph import (
+    MAX_AUTOMORPHISMS,
     Graph,
     GraphError,
+    automorphisms,
     contract_cut_edges,
     edge_density,
     glue_at_vertex,
@@ -200,6 +202,54 @@ class TestMetricsAgainstOracles:
                     h = nx.Graph(list(g.edges - set(gone)))
                     h.add_nodes_from(range(g.node_count))
                     assert is_connected(g.node_count, g.edges - set(gone)) == nx.is_connected(h)
+
+
+class TestAutomorphisms:
+    def test_equal_networkx_on_the_atlas(self):
+        import networkx as nx
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        checked = 0
+        for ga in nx.graph_atlas_g()[1:]:
+            n = ga.number_of_nodes()
+            if n > 6 or not nx.is_connected(ga):
+                continue
+            g = Graph(n, frozenset(tuple(sorted(e)) for e in ga.edges()))
+            want = {tuple(m[v] for v in range(n)) for m in GraphMatcher(ga, ga).isomorphisms_iter()}
+            got = automorphisms(g)
+            assert len(got) == len(set(got)) and set(got) == want, sorted(g.edges)
+            checked += 1
+        assert checked == 143  # connected graphs with 1 to 6 nodes
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (make_clique_star(7, 2), 72),
+            (make_theta([3, 3, 3, 3]), 48),
+            (make_theta([3, 3, 3]), 12),
+            (make_grid(4, 4), 8),
+            (make_grid(3, 4), 4),
+            (make_complete(5), 120),
+            (make_complete(7), MAX_AUTOMORPHISMS),
+        ],
+        ids=lambda x: getattr(x, "family", None) and f"{x.family.kind}{x.family.params}",
+    )
+    def test_group_orders(self, g, order):
+        group = automorphisms(g)
+        assert len(group) == order
+        assert tuple(g.nodes) in group
+        for sigma in group:
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges} == g.edges
+
+    def test_groups_over_the_cap_are_empty(self):
+        # complete(8) has 8! automorphisms; the search stops after 7! + 1.
+        assert automorphisms(make_complete(8)) == ()
+
+    def test_memoised_and_ignored_by_equality(self):
+        g = make_theta([3, 3, 3])
+        twin = Graph(g.node_count, g.edges, g.family)
+        assert automorphisms(g) is automorphisms(g)
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
 
 
 class TestDensity:

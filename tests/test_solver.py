@@ -8,10 +8,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from dynbroadcast.engine import Configuration, RuleViolation, initial_state, simulate
 from dynbroadcast.graph import (
     Graph,
+    automorphisms,
     contract_cut_edges,
     make_complete,
     make_lollipop,
@@ -122,15 +124,34 @@ class TestBranching:
         assert set(got) == minimal
 
 
-def kernel_branches(g, total):
+def image(sigma, s):
+    """State s with every position relabelled by sigma."""
+    return CanonicalState(*(tuple(sorted(sigma[v] for v in ms)) for ms in s))
+
+
+def orbit_rep(g):
+    """x -> the state of least id in the orbit of x under `automorphisms(g)`.
+
+    Ids order states by ignorant count, then by the two sorted tuples, so a
+    plain tuple key recomputes that order without the solver's ranking.
+    """
+    group = automorphisms(g) or (tuple(g.nodes),)
+    return lambda x: min(
+        (image(sigma, x) for sigma in group), key=lambda y: (len(y.ignorant), y)
+    )
+
+
+def kernel_branches(g, total, rep):
     """(state, survivor, stored successor states) for every branch of the
-    canonical game graph, with the survivors recomputed in build order."""
+    canonical game graph, with the representatives (`rep(s) == s`) and their
+    survivors recomputed in build order."""
     space, graph = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
     states = [s for n_ig in range(total) for s in space.states(n_ig)]
     branches = (
         (s, survivor)
         for n_ig in range(1, total)
         for s in space.states(n_ig)
+        if rep(s) == s
         for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source))
     )
     count = 0
@@ -153,10 +174,11 @@ def naive_successors(g, s, survivor):
 
 
 class TestSuccessorKernel:
-    """The kernel's stored successor sets against a naive labelled product.
+    """The kernel's stored successor sets against a naive labelled product,
+    mapped to orbit representatives.
 
     Sets are compared as lists without repeats, not through ranks: a kernel
-    that skipped the deduplication of converted entries would leave every
+    that skipped the deduplication of colliding entries would leave every
     rank unchanged.
     """
 
@@ -165,10 +187,12 @@ class TestSuccessorKernel:
         "g", list(atlas_graphs(max_nodes=5)), ids=lambda g: f"{g.node_count}n{sorted(g.edges)}"
     )
     def test_sets_match_labelled_product(self, g, agents):
-        # Every state, co-located agents included, at every branch.
-        for s, survivor, stored in kernel_branches(g, agents):
+        # Every representative, co-located agents included, at every branch.
+        rep = orbit_rep(g)
+        for s, survivor, stored in kernel_branches(g, agents, rep):
             assert len(stored) == len(set(stored)), (s, survivor)
-            assert set(stored) == naive_successors(g, s, survivor), (s, survivor)
+            want = {rep(x) for x in naive_successors(g, s, survivor)}
+            assert set(stored) == want, (s, survivor)
 
     @given(connected_graphs(max_nodes=4, max_edges=6), st.data())
     @settings(max_examples=25, deadline=None)
@@ -176,33 +200,72 @@ class TestSuccessorKernel:
         # A pendant p on x: the bridge (x, p) survives every removal. From
         # ignorant (p,) and sources (x, p, p), the moves "ignorant to x" and
         # "one source p -> x" both convert to sources (x, x, p, p).
+        # An automorphism keeps the pendant on x, so the start's
+        # representative collides in the same way.
         x = data.draw(st.sampled_from(list(g.nodes)))
         p = g.node_count
         g = Graph(p + 1, g.edges | {(x, p)})
-        start = CanonicalState((p,), (x, p, p))
+        rep = orbit_rep(g)
+        start = rep(CanonicalState((p,), (x, p, p)))
         checked = 0
-        for s, survivor, stored in kernel_branches(g, 4):
+        for s, survivor, stored in kernel_branches(g, 4, rep):
             if s != start:
                 continue
             assert len(stored) == len(set(stored))
-            assert set(stored) == naive_successors(g, s, survivor)
-            assert stored.count(canonical_after_conversion((), (x, x, p, p))) == 1
+            assert set(stored) == {rep(y) for y in naive_successors(g, s, survivor)}
+            assert stored.count(rep(canonical_after_conversion((), (x, x, p, p)))) == 1
             checked += 1
         assert checked
 
-
     def test_attractor_counts_match_a_recount(self):
+        # The counts are those of the quotient game: branches only at
+        # representatives, successors mapped to their representatives, and
+        # one stored set per distinct pair of class target lists. Distinct
+        # pairs can give equal sets once mapped to representatives.
         g = make_theta([3, 3, 3])
         att = compute_attractor(g, 3)
-        sets = [
-            frozenset(naive_successors(g, s, survivor))
-            for s in att.states
-            if s.ignorant
-            for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source))
-        ]
-        assert att.branches == len(sets) == 12_204
+        rep = orbit_rep(g)
+
+        def targets(ms, adj):
+            moves = itertools.product(*((p,) + adj[p] for p in ms))
+            return frozenset(tuple(sorted(t)) for t in moves)
+
+        sets, pairs = [], set()
+        for s in att.states:
+            if not s.ignorant or rep(s) != s:
+                continue
+            for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source)):
+                sets.append(frozenset(rep(x) for x in naive_successors(g, s, survivor)))
+                adj = Graph(g.node_count, survivor).adjacency()
+                pairs.add((targets(s.ignorant, adj), targets(s.source, adj)))
+        assert att.branches == len(sets)
         assert att.successor_entries == sum(map(len, sets))
-        assert att.distinct_sets == len(set(sets))
+        assert att.distinct_sets == len(pairs) >= len(set(sets))
+
+
+class TestSymmetry:
+    @given(connected_graphs(max_nodes=5, max_edges=7), st.integers(2, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_ranks_are_automorphism_invariant(self, g, total):
+        # The group comes from networkx, not from `automorphisms`. The
+        # unreduced game is the premise of the reduction; the default game
+        # must keep it.
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(g.nodes)
+        group = [tuple(m[v] for v in g.nodes) for m in GraphMatcher(nxg, nxg).isomorphisms_iter()]
+        for mode in ("all_subsets", "spanning_trees"):
+            rank = compute_attractor(g, total, mode).rank
+            for s, r in rank.items():
+                for sigma in group:
+                    assert rank[image(sigma, s)] == r, (mode, s, sigma)
+
+    def test_trivial_group_when_unreduced_or_over_the_cap(self):
+        # complete(8) has 8! automorphisms, more than MAX_AUTOMORPHISMS = 7!,
+        # and all_subsets is the unreduced reference: every state is its own
+        # representative in both.
+        for g, mode in ((make_complete(8), "spanning_trees"), (make_complete(4), "all_subsets")):
+            space, _ = _canonical_graph(g, 3, mode, 10**6, range(1, 3))
+            assert space.rep.tolist() == list(range(len(space.rep)))
 
 
 class TestKnownOptima:
@@ -431,3 +494,12 @@ class TestStructuralProperties:
         for k, k_source in ((3, 1), (0, 1), (1, 2)):
             with pytest.raises(ValueError, match=f"not k={k} and k_source={k_source}"):
                 solvable(make_path(5), k, Configuration((0,), (4,)), k_source=k_source)
+
+    def test_positions_off_the_graph_are_rejected(self):
+        g = make_path(5)
+        for config, bad in ((Configuration((9,), (0,)), 9), (Configuration((0,), (-1,)), -1)):
+            with pytest.raises(ValueError, match=f"position {bad} is not a node"):
+                solvable(g, 1, config)
+            for objective in ("all_sources", "first_new_source"):
+                with pytest.raises(ValueError, match=f"position {bad} is not a node"):
+                    game_value(g, config, objective)
