@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Protocol
+from typing import Any, Hashable, Iterable, NamedTuple, Protocol
 
 from .graph import Edge, Graph, _norm_edge, graph_from_json, graph_to_json
 
@@ -39,9 +39,12 @@ class Configuration:
         return not self.ignorant
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Agents with persistent ids: agent i sits at positions[i]."""
+class AgentState(NamedTuple):
+    """Agents with persistent ids: agent i sits at positions[i].
+
+    A named tuple, so it hashes and compares equal to the plain tuple
+    ``(positions, is_source)``.
+    """
 
     positions: tuple[int, ...]
     is_source: tuple[bool, ...]
@@ -126,14 +129,15 @@ def legal_targets(surviving: Graph, node: int) -> tuple[int, ...]:
 
 
 def _convert(positions: tuple[int, ...], is_source: tuple[bool, ...]) -> tuple[tuple[bool, ...], tuple[int, ...]]:
-    source_nodes = {p for p, s in zip(positions, is_source) if s}
-    conversions = []
-    new_cls = list(is_source)
-    for i, (p, s) in enumerate(zip(positions, is_source)):
-        if not s and p in source_nodes:
-            new_cls[i] = True
-            conversions.append(p)
-    return tuple(new_cls), tuple(sorted(conversions))
+    """Every ignorant agent on a node that holds a source becomes a source.
+    Returns the new classes, `is_source` itself when nobody converts, and the
+    sorted conversion nodes."""
+    sources = {p for p, s in zip(positions, is_source) if s}
+    conversions = [p for p, s in zip(positions, is_source) if not s and p in sources]
+    if not conversions:
+        return is_source, ()
+    conversions.sort()
+    return tuple([s or p in sources for p, s in zip(positions, is_source)]), tuple(conversions)
 
 
 def _surviving_graph(g: Graph, removed: Iterable[Edge]) -> Graph:
@@ -159,6 +163,15 @@ def _move(
 ) -> tuple[AgentState, tuple[int, ...]]:
     """Check every move is stay-or-adjacent in the surviving graph, then move
     and convert."""
+    _check_moves(surviving, state, targets)
+    targets = tuple(targets)
+    new_cls, conversions = _convert(targets, state.is_source)
+    return AgentState(targets, new_cls), conversions
+
+
+def _check_moves(surviving: Graph, state: AgentState, targets: tuple[int, ...]) -> None:
+    """RuleViolation unless targets gives every agent a stay or a step along
+    a surviving edge."""
     if len(targets) != state.total:
         raise RuleViolation(
             f"move count {len(targets)} does not cover the {state.total} agents"
@@ -167,8 +180,6 @@ def _move(
     for i, (src, dst) in enumerate(zip(state.positions, targets)):
         if dst != src and dst not in adj[src]:
             raise RuleViolation(f"agent {i} move {src}->{dst} is not stay-or-adjacent")
-    new_cls, conversions = _convert(targets, state.is_source)
-    return AgentState(tuple(targets), new_cls), conversions
 
 
 def apply_round(

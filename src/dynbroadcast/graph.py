@@ -39,9 +39,9 @@ class FamilyInfo:
 class Graph:
     """Undirected simple connected graph on nodes 0..node_count-1.
 
-    ``adjacency()`` and ``automorphisms(g)`` are memoised on the instance.
-    That is safe because the graph is frozen; the memos take no part in
-    equality, hashing or repr.
+    ``adjacency()``, ``automorphisms(g)`` and ``theta_layout(g)`` are
+    memoised on the instance. That is safe because the graph is frozen; the
+    memos take no part in equality, hashing or repr.
     """
 
     node_count: int
@@ -51,6 +51,9 @@ class Graph:
         default=None, init=False, repr=False, compare=False, hash=False
     )
     _automorphisms: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _theta_layout: tuple[ThetaLayout | None] | None = field(  # boxed, so None is memoised
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -422,13 +425,18 @@ def theta_layout(g: Graph) -> ThetaLayout | None:
     exactly the graph's edges. Otherwise the shape is detected from degrees:
     exactly two nodes of degree >= 3, or a path graph (a one-path theta). A
     cycle has no distinguished poles, so an unlabelled two-path theta is None.
+    Memoised on the instance, so the layouts of one graph are one object and
+    policy memories holding them compare equal.
     """
-    fam = g.family
-    if fam is not None and fam.kind in ("theta", "density_family"):
-        layout = _labelled_theta(g, fam.labels)
-        if layout is not None:
-            return layout
-    return _structural_theta(g)
+    memo = g._theta_layout
+    if memo is None:
+        layout = None
+        fam = g.family
+        if fam is not None and fam.kind in ("theta", "density_family"):
+            layout = _labelled_theta(g, fam.labels)
+        memo = (layout if layout is not None else _structural_theta(g),)
+        object.__setattr__(g, "_theta_layout", memo)
+    return memo[0]
 
 
 def _labelled_theta(g: Graph, labels: Mapping[str, Any]) -> ThetaLayout | None:

@@ -30,13 +30,19 @@ Three questions are asked of such graphs:
   branch per removal; a fixed adversary gives one branch holding every joint
   move, and its removal must leave the graph connected, as in `simulate`.
   A fixed-agent check therefore costs expanded nodes x removals calls of
-  the policy's `decide`, and that, not the fixpoint, sets its time. The
-  removals are always every connected removal (`connected_removals`): the
-  spanning-tree reduction below is unsound against a fixed agent policy,
-  which may react to the exact surviving graph. A connected survivor keeps
-  at least n - 1 of the m edges, so only subsets of at most m - n + 1 edges
-  are tested, and the enumeration raises `BudgetExceeded` when their
-  number, the sum over r <= m - n + 1 of C(m, r), exceeds 2^20.
+  the policy's `decide`, and that, not the fixpoint, sets its time. Every
+  reply is checked for legality over its own survivor, but each distinct
+  target tuple at a node is moved and converted once (about three replies
+  in four repeat one on the theta strategy). Against a fixed adversary, the
+  surviving adjacency of each connected removal is built once per check; a
+  removal that disconnects the graph is never stored, so it always raises.
+  Against a fixed agent policy the removals are always every connected
+  removal (`connected_removals`): the spanning-tree reduction below is
+  unsound against a fixed agent policy, which may react to the exact
+  surviving graph. A connected survivor keeps at least n - 1 of the m
+  edges, so only subsets of at most m - n + 1 edges are tested, and the
+  enumeration raises `BudgetExceeded` when their number, the sum over
+  r <= m - n + 1 of C(m, r), exceeds 2^20.
 
 Adversary branching. The agents at a state see a surviving edge set only
 through its menu: the surviving edges with an endpoint in the occupied set O.
@@ -129,7 +135,14 @@ from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .engine import AgentState, Configuration, _convert, _move, _surviving_graph, initial_state
+from .engine import (
+    AgentState,
+    Configuration,
+    _check_moves,
+    _convert,
+    _surviving_graph,
+    initial_state,
+)
 from .graph import Edge, Graph, automorphisms, is_connected
 
 DEFAULT_BUDGET_STATES = 300_000
@@ -848,20 +861,29 @@ def model_check_policy(
         decides_per_node = len(survivors)
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
-            # One branch per removal, holding the policy's single reply.
-            out = []
+            # One branch per removal, holding the policy's single reply. Every
+            # reply is checked; each distinct target tuple is moved once.
+            out, moved = [], {}
             for surviving in survivors:
                 targets, mem2 = fixed.decide(surviving, state, mem)
-                out.append([(_move(surviving, state, targets)[0], mem2)])
+                _check_moves(surviving, state, targets)
+                nxt = moved.get(targets)
+                if nxt is None:
+                    new_cls = _convert(targets, state.is_source)[0]
+                    nxt = moved[targets] = AgentState(targets, new_cls)
+                out.append([(nxt, mem2)])
             return out
 
     else:
         decides_per_node = 1
+        adjacency: dict[frozenset[Edge], tuple] = {}  # connected removals seen
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
             # One branch, holding every joint move against the policy's removal.
             removed, mem2 = fixed.decide(g, state, mem)
-            adj = _surviving_graph(g, removed).adjacency()
+            adj = adjacency.get(removed)
+            if adj is None:  # a disconnecting removal raises here, each time
+                adj = adjacency[removed] = _surviving_graph(g, removed).adjacency()
             moves = product(*((p,) + adj[p] for p in state.positions))
             return [[(AgentState(t, _convert(t, state.is_source)[0]), mem2) for t in moves]]
 
@@ -876,7 +898,7 @@ def model_check_policy(
     while stack:
         node = stack.pop()
         state, mem = node
-        if state.config().is_solved():
+        if all(state.is_source):  # no ignorant agent left
             solved.append(ids[node])
             continue
         if len(ids) > budget_states:

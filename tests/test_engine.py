@@ -9,6 +9,7 @@ from dynbroadcast.engine import (
     _pairwise_contraction_check,
     Configuration,
     RuleViolation,
+    _convert,
     apply_round,
     check_trace,
     initial_state,
@@ -87,6 +88,27 @@ class TestRoundPrimitives:
         config = Configuration((0,), (2,))
         with pytest.raises(RuleViolation):
             apply_round(g, config, frozenset(), (((1, 1),), ((2, 1),)))
+
+
+class TestConversion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=8))
+    def test_convert_matches_a_naive_reference(self, agents):
+        positions = tuple(p for p, _ in agents)
+        is_source = tuple(s for _, s in agents)
+        # An ignorant agent converts iff some source shares its node.
+        converts = [not s and any(t and q == p for q, t in agents) for p, s in agents]
+        new_cls, conversions = _convert(positions, is_source)
+        assert new_cls == tuple(s or c for (_, s), c in zip(agents, converts))
+        assert conversions == tuple(sorted(p for (p, _), c in zip(agents, converts) if c))
+        if not any(converts):
+            assert new_cls is is_source
+
+    def test_agent_state_is_its_plain_tuple(self):
+        state = AgentState((0, 2), (False, True))
+        assert state == ((0, 2), (False, True))
+        assert hash(state) == hash(((0, 2), (False, True)))
+        assert {state: 1}[((0, 2), (False, True))] == 1
 
 
 class TestSimulate:

@@ -28,7 +28,9 @@ from dynbroadcast.graph import (
     make_path,
     make_ring,
     make_theta,
+    theta_layout,
 )
+from dynbroadcast import graph as graph_module
 
 
 def comb(n, k):
@@ -337,6 +339,23 @@ class TestAdjacencyMemo:
         assert hash(g) == hash(twin)
         assert repr(g) == before == repr(twin)
         assert {g: 1}[twin] == 1
+
+
+class TestThetaLayoutMemo:
+    def test_repeat_call_returns_same_object(self):
+        labelled = make_theta([3, 3, 3])
+        unlabelled = Graph(labelled.node_count, labelled.edges)
+        for g in (labelled, unlabelled):
+            assert theta_layout(g) is not None
+            assert theta_layout(g) is theta_layout(g)
+
+    def test_no_layout_is_memoised_too(self, monkeypatch):
+        g = make_grid(3, 3)
+        assert theta_layout(g) is None
+        calls = []
+        monkeypatch.setattr(graph_module, "_structural_theta", lambda g: calls.append(g))
+        assert theta_layout(g) is None
+        assert calls == []
 
 
 class TestGraphFromJson:

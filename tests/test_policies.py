@@ -16,6 +16,7 @@ from dynbroadcast.graph import (
     make_path,
     make_ring,
     make_theta,
+    theta_layout,
 )
 from dynbroadcast.policies import (
     BondBlocker,
@@ -111,6 +112,14 @@ class TestThetaBroadcast:
         res = model_check_policy(g, state, ThetaBroadcastPolicy(k=len(ds)))
         assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", rounds, states)
 
+    def test_initial_memories_on_one_graph_are_equal(self):
+        # The layout in the memory is memoised on the graph, so two starts
+        # of one game share their memory.
+        g, state = theta_start([3, 3, 3])
+        first = ThetaBroadcastPolicy(k=3).initial_memory(g, state)
+        assert first == ThetaBroadcastPolicy(k=3).initial_memory(g, state)
+        assert first[0] is theta_layout(g)
+
     def test_rejects_wrong_agent_count(self):
         g, state = theta_start([3, 3, 3], k=2)
         with pytest.raises(ValueError):
@@ -161,9 +170,9 @@ class TestPolicyReuse:
         fresh = make()
         got, got_mem = reused.decide(g1, s1, m1)
         want, want_mem = fresh.decide(g1, s1, fresh.initial_memory(g1, s1))
-        # Memory starts with the theta layout, which compares by identity.
+        # theta_layout is memoised on the graph, so the memories are equal.
         assert got == want
-        assert got_mem[1:] == want_mem[1:]
+        assert got_mem == want_mem
 
     @pytest.mark.parametrize(
         "make, first, second",

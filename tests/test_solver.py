@@ -21,12 +21,19 @@ from dynbroadcast.graph import (
     make_ring,
     make_theta,
 )
-from dynbroadcast.policies import PassiveAdversary, ThetaBroadcastPolicy, TowardSourcePolicy
+from dynbroadcast.policies import (
+    IsolationTreeAdversary,
+    PassiveAdversary,
+    ThetaBlocker,
+    ThetaBroadcastPolicy,
+    TowardSourcePolicy,
+)
 from dynbroadcast.solver import (
     BudgetExceeded,
     CanonicalState,
     SolvedAdversaryPolicy,
     SolvedAgentPolicy,
+    SolverResult,
     _canonical_graph,
     _minimal_menu_survivors,
     canonical_after_conversion,
@@ -40,6 +47,7 @@ from dynbroadcast.solver import (
 )
 
 from test_engine import _FixedRemoval
+from test_policies import theta_start
 
 
 def atlas_graphs(max_nodes=5, min_nodes=2):
@@ -440,6 +448,78 @@ class TestModelChecker:
             res = model_check_policy(g, initial_state([0], [n - 1]), PassiveAdversary())
             assert res.optimal_rounds == game_value(g, Configuration((0,), (n - 1,)))
             assert res.optimal_rounds == ceil((n - 1) / 2)
+
+    def test_every_reply_is_checked_when_its_targets_repeat(self):
+        # The same targets are moved once per node, but checked per removal:
+        # 0 -> 1 is legal over the first survivor (nothing removed) and
+        # illegal once (0, 1) is removed.
+        g = make_ring(4)
+        assert connected_removals(g)[0] == frozenset()
+        with pytest.raises(RuleViolation, match="not stay-or-adjacent"):
+            model_check_policy(g, initial_state([0], [2]), _FixedTargets((1, 2)))
+
+    def test_disconnecting_removal_after_a_connected_one_is_rejected(self):
+        # A triangle with a pendant edge: removing (0, 1) keeps it connected,
+        # removing the bridge (2, 3) of the same size does not. The connected
+        # removal's survivor must not stand in for the later one.
+        g = Graph(4, frozenset([(0, 1), (0, 2), (1, 2), (2, 3)]))
+        start = initial_state([0], [3])
+        adv = _RemovalByState({start: [(0, 1)]}, [(2, 3)])
+        with pytest.raises(RuleViolation, match="disconnects"):
+            model_check_policy(g, start, adv)
+
+    @pytest.mark.parametrize(
+        "g, adv, k_ignorant, want",
+        [
+            (make_theta([3, 3, 3]), ThetaBlocker(), 2, (1040, 15110, 1040)),
+            (make_theta([4, 4, 4]), ThetaBlocker(), 2, (2246, 32918, 2246)),
+            (make_complete(6), IsolationTreeAdversary(), 3, (128, 2048, 128)),
+        ],
+        ids=["theta_blocker-theta333", "theta_blocker-theta444", "isolation_tree-complete6"],
+    )
+    def test_fixed_adversary_result_is_pinned(self, g, adv, k_ignorant, want):
+        # Nodes, branches and decide calls, as before successors were
+        # deduplicated.
+        res = model_check_policy(g, adv.place(g, k_ignorant, 1), adv)
+        assert res == SolverResult("adversary", float("inf"), *want)
+
+    def test_theta_strategy_result_is_pinned(self):
+        g, start = theta_start([6, 6])
+        res = model_check_policy(g, start, ThetaBroadcastPolicy(k=2))
+        assert res == SolverResult("agents", 22, 805, 8295, 8295)
+
+
+class _FixedTargets:
+    """Agent policy that names the same targets over every survivor."""
+
+    role = "agents"
+    name = "fixed_targets"
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def initial_memory(self, base, state):
+        return None
+
+    def decide(self, surviving, state, memory):
+        return self.targets, None
+
+
+class _RemovalByState:
+    """Adversary that removes by_state[state], or `otherwise` elsewhere."""
+
+    role = "adversary"
+    name = "removal_by_state"
+
+    def __init__(self, by_state, otherwise):
+        self.by_state = {s: frozenset(r) for s, r in by_state.items()}
+        self.otherwise = frozenset(otherwise)
+
+    def initial_memory(self, base, state):
+        return None
+
+    def decide(self, base, state, memory):
+        return self.by_state.get(state, self.otherwise), None
 
 
 class TestStructuralProperties:
