@@ -348,7 +348,10 @@ def cmd_solve(args, out) -> int:
 
 def cmd_check_trace(args, out) -> int:
     text = Path(args.trace).read_text()
-    trace = trace_from_json(text)
+    try:
+        trace = trace_from_json(text)
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace file {args.trace!r}: {exc}") from exc
     check_trace(trace)
     out.write(f"trace ok: {len(trace.rounds)} rounds validated\n")
     return EXIT_OK

@@ -20,23 +20,16 @@ class RuleViolation(ValueError):
     """A removal or move breaks the round rules."""
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Multisets of node positions, the anonymous view of the agents."""
+class Configuration(NamedTuple):
+    """Positions up to permutation of same-class agents: the anonymous view.
+
+    A named tuple, so it hashes and compares equal to the plain tuple
+    ``(ignorant, source)``. It keeps the order it is given; the solver's
+    entry points sort and convert it with ``canonical_after_conversion``.
+    """
 
     ignorant: tuple[int, ...]
     source: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ignorant", tuple(sorted(self.ignorant)))
-        object.__setattr__(self, "source", tuple(sorted(self.source)))
-
-    @property
-    def total(self) -> int:
-        return len(self.ignorant) + len(self.source)
-
-    def is_solved(self) -> bool:
-        return not self.ignorant
 
 
 class AgentState(NamedTuple):
@@ -50,8 +43,9 @@ class AgentState(NamedTuple):
     is_source: tuple[bool, ...]
 
     def config(self) -> Configuration:
-        ig = [p for p, s in zip(self.positions, self.is_source) if not s]
-        src = [p for p, s in zip(self.positions, self.is_source) if s]
+        """The positions of each class, sorted."""
+        ig = sorted(p for p, s in zip(self.positions, self.is_source) if not s)
+        src = sorted(p for p, s in zip(self.positions, self.is_source) if s)
         return Configuration(tuple(ig), tuple(src))
 
     @property
@@ -123,9 +117,11 @@ def validate_removal(g: Graph, removed: Iterable[Edge]) -> bool:
     return g.without(removed).is_connected()
 
 
-def legal_targets(surviving: Graph, node: int) -> tuple[int, ...]:
-    """Stay or one step along a surviving edge."""
-    return (node,) + surviving.neighbors(node)
+def _check_positions(g: Graph, positions: Iterable[int]) -> None:
+    """ValueError unless every position is a node of g."""
+    for p in positions:
+        if p not in g.nodes:
+            raise ValueError(f"position {p} is not a node of the graph (0..{g.node_count - 1})")
 
 
 def _convert(positions: tuple[int, ...], is_source: tuple[bool, ...]) -> tuple[tuple[bool, ...], tuple[int, ...]]:
@@ -182,32 +178,6 @@ def _check_moves(surviving: Graph, state: AgentState, targets: tuple[int, ...]) 
             raise RuleViolation(f"agent {i} move {src}->{dst} is not stay-or-adjacent")
 
 
-def apply_round(
-    g: Graph,
-    config: Configuration,
-    removed: frozenset[Edge],
-    moves: tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
-) -> tuple[Configuration, tuple[int, ...]]:
-    """Anonymous-multiset round: moves = (ignorant (from, to) pairs, source pairs).
-
-    The multiset of 'from' nodes per class must equal the configuration, so
-    every agent moves exactly once.
-    """
-    surviving = _surviving_graph(g, removed)
-    ig_moves, src_moves = moves
-    if tuple(sorted(f for f, _ in ig_moves)) != config.ignorant:
-        raise RuleViolation("ignorant moves do not cover the ignorant multiset")
-    if tuple(sorted(f for f, _ in src_moves)) != config.source:
-        raise RuleViolation("source moves do not cover the source multiset")
-    state = AgentState(
-        tuple(f for f, _ in ig_moves) + tuple(f for f, _ in src_moves),
-        tuple([False] * len(ig_moves) + [True] * len(src_moves)),
-    )
-    targets = tuple(t for _, t in ig_moves) + tuple(t for _, t in src_moves)
-    new_state, conversions = _move(surviving, state, targets)
-    return new_state.config(), conversions
-
-
 # -- simulation ----------------------------------------------------------------
 
 
@@ -240,6 +210,7 @@ def simulate(
     """Run rounds until solved, a repeated (state, memories) pair, or max_rounds."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    _check_positions(g, initial.positions)
     if len(set(initial.positions)) != initial.total:
         raise RuleViolation("initial configuration must use distinct nodes")
 
@@ -254,7 +225,7 @@ def simulate(
     adv_mem = adversary.initial_memory(g, state)
     seen: dict[Hashable, int] = {}
 
-    if state.config().is_solved():
+    if all(state.is_source):
         trace.outcome = Outcome("solved", round=0)
         return trace
 
@@ -281,7 +252,7 @@ def simulate(
             )
         )
         state = new_state
-        if state.config().is_solved():
+        if all(state.is_source):
             trace.outcome = Outcome("solved", round=round_index)
             return trace
 
@@ -289,16 +260,9 @@ def simulate(
     return trace
 
 
-def replay_state(trace: Trace, upto: int | None = None) -> AgentState:
-    """Recompute the agent state after the first `upto` rounds (default: all)."""
-    state = trace.initial
-    for rec in trace.rounds[: upto if upto is not None else len(trace.rounds)]:
-        state, _ = step(trace.graph, state, rec.removed_edges, tuple(t for _, t in rec.moves))
-    return state
-
-
 def check_trace(trace: Trace) -> None:
     """Independently re-validate every stored round (removal + move legality)."""
+    _check_positions(trace.graph, trace.initial.positions)
     state = trace.initial
     for rec in trace.rounds:
         try:
@@ -311,7 +275,7 @@ def check_trace(trace: Trace) -> None:
         except RuleViolation as exc:
             raise RuleViolation(f"round {rec.round_index}: {exc}") from exc
     if trace.outcome is not None and trace.outcome.kind == "solved":
-        if not state.config().is_solved():
+        if not all(state.is_source):
             raise RuleViolation("outcome says solved but ignorant agents remain")
 
 

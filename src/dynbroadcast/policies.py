@@ -497,7 +497,12 @@ class GridFlipflopAdversary:
 
     # -- adversary interface --------------------------------------------------------
 
+    def _check_base(self, base: Graph) -> None:
+        if base != self._grid:
+            raise GraphError(f"{self.name} plays only on the {self.rows}x{self.cols} grid")
+
     def place(self, base: Graph, k_ignorant: int, k_source: int = 1) -> AgentState:
+        self._check_base(base)
         s0, _, _ = self._prepared
         ig = [p for p, s in zip(s0.positions, s0.is_source) if not s]
         src = [p for p, s in zip(s0.positions, s0.is_source) if s]
@@ -508,8 +513,7 @@ class GridFlipflopAdversary:
         return s0
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
-        if base != self._grid:
-            raise GraphError(f"{self.name} plays only on the {self.rows}x{self.cols} grid")
+        self._check_base(base)
         return 0
 
     def decide(self, base: Graph, state: AgentState, memory: int):

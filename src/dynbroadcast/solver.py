@@ -139,6 +139,7 @@ from .engine import (
     AgentState,
     Configuration,
     _check_moves,
+    _check_positions,
     _convert,
     _surviving_graph,
     initial_state,
@@ -157,19 +158,17 @@ class BudgetExceeded(RuntimeError):
     """State space outgrew the configured budget; result is undecided, never guessed."""
 
 
-class CanonicalState(NamedTuple):
-    """Positions up to permutation of same-class agents."""
-
-    ignorant: tuple[int, ...]
-    source: tuple[int, ...]
+CanonicalState = Configuration  # a canonical state is a sorted, converted Configuration
 
 
-def canonical_after_conversion(ignorant: Iterable[int], source: Iterable[int]) -> CanonicalState:
+def canonical_after_conversion(ignorant: Iterable[int], source: Iterable[int]) -> Configuration:
+    """The canonical state: convert every ignorant agent on a source's node,
+    then sort both classes."""
     src = tuple(source)
     src_set = set(src)
     stay = [p for p in ignorant if p not in src_set]
     conv = [p for p in ignorant if p in src_set]
-    return CanonicalState(tuple(sorted(stay)), tuple(sorted(list(src) + conv)))
+    return Configuration(tuple(sorted(stay)), tuple(sorted(list(src) + conv)))
 
 
 # -- adversary branching ---------------------------------------------------------
@@ -308,14 +307,14 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
 class Attractor:
     graph: Graph
     total_agents: int
-    states: list[CanonicalState]  # in state id order
-    rank: dict[CanonicalState, int]  # winning states only; rank = minimax rounds to goal
+    states: list[Configuration]  # in state id order
+    rank: dict[Configuration, int]  # winning states only; rank = minimax rounds to goal
     # Counts of the game graph over orbit representatives (module docstring):
     branches: int  # (representative, adversary branch) pairs
     successor_entries: int  # summed over branches: successor representatives per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
 
-    def wins(self, state: CanonicalState) -> bool:
+    def wins(self, state: Configuration) -> bool:
         return state in self.rank
 
 
@@ -364,22 +363,22 @@ class _StateSpace:
         self._list_starts = array("q", [0])
         self._list_sizes = array("i")
 
-    def states(self, n_ig: int) -> Iterator[CanonicalState]:
+    def states(self, n_ig: int) -> Iterator[Configuration]:
         """The states with n_ig ignorant agents, in id order."""
         for ig in self.multisets[n_ig]:
             for src in self.multisets[self.total - n_ig]:
-                yield CanonicalState(ig, src)
+                yield Configuration(ig, src)
 
-    def id(self, st: CanonicalState) -> int:
+    def id(self, st: Configuration) -> int:
         n_ig, n_src = len(st.ignorant), len(st.source)
         ig, src = self.rank[n_ig][st.ignorant], self.rank[n_src][st.source]
         return self.layer[n_ig] + ig * self.width[n_src] + src
 
-    def state(self, i: int) -> CanonicalState:
+    def state(self, i: int) -> Configuration:
         """The state with id i."""
         n_ig = bisect_right(self.layer, i) - 1
         ig, src = divmod(i - self.layer[n_ig], self.width[self.total - n_ig])
-        return CanonicalState(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
+        return Configuration(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
 
     def _representatives(self, group: Iterable[tuple[int, ...]]) -> np.ndarray:
         """rep[id] = the least id of sigma(state) over the identity and every
@@ -602,19 +601,13 @@ def compute_attractor(
 # -- public solver operations ------------------------------------------------------
 
 
-def _check_positions(g: Graph, state: CanonicalState | Configuration) -> None:
-    for p in state.ignorant + state.source:
-        if not 0 <= p < g.node_count:
-            raise ValueError(f"position {p} is not a node of the graph (0..{g.node_count - 1})")
-
-
-def _initial_states(g: Graph, k_ignorant: int, k_source: int) -> list[CanonicalState]:
+def _initial_states(g: Graph, k_ignorant: int, k_source: int) -> list[Configuration]:
     """All placements on distinct nodes, up to same-class permutation."""
     out = []
     for nodes in combinations(range(g.node_count), k_ignorant + k_source):
         for src in combinations(nodes, k_source):
             ig = tuple(v for v in nodes if v not in src)
-            out.append(CanonicalState(ig, src))
+            out.append(Configuration(ig, src))
     return out
 
 
@@ -641,9 +634,10 @@ def solvable(
                 f"configuration has {counts[0]} ignorant and {counts[1]} source "
                 f"agents, not k={k} and k_source={k_source}"
             )
-        _check_positions(g, placement)
+        state = canonical_after_conversion(placement.ignorant, placement.source)
+        _check_positions(g, state.ignorant + state.source)
         att = compute_attractor(g, k + k_source, budget_states=budget_states)
-        return att.wins(canonical_after_conversion(placement.ignorant, placement.source))
+        return att.wins(state)
     if k + k_source > g.node_count:
         raise ValueError("more agents than nodes")
     att = compute_attractor(g, k + k_source, budget_states=budget_states)
@@ -685,13 +679,13 @@ Objective = Literal["first_new_source", "all_sources"]
 
 def game_value(
     g: Graph,
-    state: CanonicalState | Configuration,
+    state: Configuration,
     objective: Objective = "all_sources",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | float:
     """Minimax round count until the objective event; inf if the adversary wins."""
-    _check_positions(g, state)
     state = canonical_after_conversion(state.ignorant, state.source)
+    _check_positions(g, state.ignorant + state.source)
     total = len(state.ignorant) + len(state.source)
     if objective == "all_sources":
         r = compute_attractor(g, total, budget_states=budget_states).rank.get(state)
@@ -756,7 +750,7 @@ class SolvedAgentPolicy:
         for src in src_groups:
             here = set(src)
             for ig in ig_groups:
-                # A CanonicalState hashes and compares as its plain tuple.
+                # A Configuration hashes and compares as its plain tuple.
                 if here.isdisjoint(ig):
                     r = rank.get((ig, src))
                 else:  # ignorant agents on a source's target convert
@@ -853,6 +847,7 @@ def model_check_policy(
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
+    _check_positions(g, initial.positions)
     new_cls, _ = _convert(initial.positions, initial.is_source)
     initial = AgentState(initial.positions, new_cls)
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from dynbroadcast.cli import main
-from dynbroadcast.graph import Graph, graph_to_json, make_ring, make_theta
+from dynbroadcast.graph import Graph, graph_to_json, make_path, make_ring, make_theta
 
 # sha256 of every trace file `verify all --output DIR` writes. Any change to
 # a policy, the engine or the trace format that alters one shows up here.
@@ -250,6 +250,16 @@ class TestSimulate:
         code, out, _ = run(capsys, *argv, "--k", "2")
         assert code == 0 and "outcome=solved" in out
 
+    @pytest.mark.parametrize("position", ["-1", "9"])
+    def test_off_graph_placement_is_diagnostic(self, capsys, position):
+        # -1 must not play as the last node, nor 9 end in a traceback.
+        code, out, err = run(
+            capsys, "simulate", "path:5", "--placement", f"ignorant={position},source=0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: position {position} is not a node of the graph (0..4)\n"
+
     @pytest.mark.parametrize(
         "graph,adversary,k,message",
         [
@@ -377,6 +387,35 @@ class TestCheckTrace:
         code, out, _ = run(capsys, "check-trace", str(dest))
         assert code == 0
         assert "trace ok" in out
+
+    @pytest.mark.parametrize("position", [-1, "a"])
+    def test_off_graph_start_fails(self, capsys, tmp_path, position):
+        # An agent at -1 on path(5) that steps to 3 as if it stood on node 4.
+        dest = tmp_path / "neg.trace.json"
+        dest.write_text(json.dumps({
+            "graph": json.loads(graph_to_json(make_path(5))),
+            "initial": {"is_source": [False, True], "positions": [position, 0]},
+            "outcome": {"kind": "solved", "period": None, "round": 2},
+            "rounds": [
+                {"conversions": [], "moves": [[-1, 3], [0, 1]], "removed": [], "round": 1},
+                {"conversions": [2], "moves": [[3, 2], [1, 2]], "removed": [], "round": 2},
+            ],
+        }))
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: position {position} is not a node")
+
+    @pytest.mark.parametrize(
+        "text", ['{"graph": {"nodes": 2, "edges": [[0, 1]]}}', "not json", '{"graph": 3}'],
+    )
+    def test_malformed_trace_is_diagnostic(self, capsys, tmp_path, text):
+        dest = tmp_path / "bad.trace.json"
+        dest.write_text(text)
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: malformed trace file {str(dest)!r}")
 
     def test_tampered_trace_fails(self, capsys, tmp_path):
         dest = self.write_trace(capsys, tmp_path)

@@ -8,13 +8,13 @@ from dynbroadcast.engine import (
     AgentState,
     _pairwise_contraction_check,
     Configuration,
+    Outcome,
+    RoundRecord,
     RuleViolation,
+    Trace,
     _convert,
-    apply_round,
     check_trace,
     initial_state,
-    legal_targets,
-    replay_state,
     simulate,
     step,
     trace_from_json,
@@ -40,11 +40,6 @@ class TestRoundPrimitives:
         assert validate_removal(g, [(0, 1)])
         assert not validate_removal(g, [(0, 1), (2, 3)])
         assert validate_removal(g, [])
-
-    def test_legal_targets_stay_or_adjacent(self):
-        g = make_path(4)
-        surviving = g.without([])
-        assert set(legal_targets(surviving, 1)) == {0, 1, 2}
 
     def test_step_conversion_on_colocation(self):
         g = make_path(3)
@@ -74,21 +69,6 @@ class TestRoundPrimitives:
         assert conversions == ()
         assert new_state.is_source[1] is True
 
-    def test_apply_round_multiset_interface(self):
-        g = make_path(3)
-        config = Configuration((0,), (2,))
-        new_config, conversions = apply_round(
-            g, config, frozenset(), (((0, 1),), ((2, 1),))
-        )
-        assert conversions == (1,)
-        assert new_config.is_solved()
-
-    def test_apply_round_rejects_wrong_multiset(self):
-        g = make_path(3)
-        config = Configuration((0,), (2,))
-        with pytest.raises(RuleViolation):
-            apply_round(g, config, frozenset(), (((1, 1),), ((2, 1),)))
-
 
 class TestConversion:
     @settings(max_examples=300, deadline=None)
@@ -109,6 +89,16 @@ class TestConversion:
         assert state == ((0, 2), (False, True))
         assert hash(state) == hash(((0, 2), (False, True)))
         assert {state: 1}[((0, 2), (False, True))] == 1
+
+    def test_configuration_is_its_plain_tuple(self):
+        config = Configuration((3, 0), (5,))
+        assert config == ((3, 0), (5,))
+        assert hash(config) == hash(((3, 0), (5,)))
+        assert config.ignorant == (3, 0)  # kept as given, not sorted
+
+    def test_agent_state_config_sorts_each_class(self):
+        state = AgentState((4, 5, 1, 0), (False, True, False, True))
+        assert state.config() == Configuration((1, 4), (0, 5))
 
 
 class TestSimulate:
@@ -205,6 +195,36 @@ class TestSimulate:
         _check_contraction_per_round(trace)
 
 
+class TestOffGraphPositions:
+    # A position must be a node: -1 must not index the last node of the
+    # graph, nor 9 raise IndexError.
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_simulate_rejects_off_graph_start(self, bad):
+        message = rf"position {bad} is not a node of the graph \(0\.\.4\)"
+        with pytest.raises(ValueError, match=message):
+            simulate(
+                make_path(5),
+                initial_state([bad], [0]),
+                TowardSourcePolicy(),
+                PassiveAdversary(),
+                max_rounds=10,
+            )
+
+    def test_check_trace_rejects_off_graph_start(self):
+        # An agent at -1 on path(5) that steps to 3 as if it stood on node 4.
+        trace = Trace(
+            make_path(5),
+            AgentState((-1, 0), (False, True)),
+            [
+                RoundRecord(1, frozenset(), ((-1, 3), (0, 1)), ()),
+                RoundRecord(2, frozenset(), ((3, 2), (1, 2)), (2,)),
+            ],
+            Outcome("solved", round=2),
+        )
+        with pytest.raises(ValueError, match="position -1 is not a node"):
+            check_trace(trace)
+
+
 class TestTraces:
     def make_trace(self):
         g = make_theta([3, 3])
@@ -231,10 +251,19 @@ class TestTraces:
         with pytest.raises((RuleViolation, Exception)):
             check_trace(trace)
 
-    def test_replay_matches_final_state(self):
-        trace = self.make_trace()
-        final = replay_state(trace)
-        assert final.config().is_solved() == (trace.outcome.kind == "solved")
+    def test_check_trace_rejects_solved_outcome_with_ignorant_agents(self):
+        trace = simulate(
+            make_path(9),
+            initial_state([0], [8]),
+            TowardSourcePolicy(),
+            PassiveAdversary(),
+            max_rounds=2,
+        )
+        assert trace.outcome.kind == "round_limit_reached"
+        check_trace(trace)
+        trace.outcome = Outcome("solved", round=2)
+        with pytest.raises(RuleViolation, match="ignorant agents remain"):
+            check_trace(trace)
 
     def test_byte_identical_reruns(self):
         a = trace_to_json(self.make_trace())

@@ -583,3 +583,20 @@ class TestStructuralProperties:
             for objective in ("all_sources", "first_new_source"):
                 with pytest.raises(ValueError, match=f"position {bad} is not a node"):
                     game_value(g, config, objective)
+            # -1 must not index the last node, nor 9 raise IndexError.
+            start = initial_state(config.ignorant, config.source)
+            for fixed in (TowardSourcePolicy(), PassiveAdversary()):
+                with pytest.raises(ValueError, match=f"position {bad} is not a node"):
+                    model_check_policy(g, start, fixed)
+
+    def test_one_configuration_type(self):
+        assert Configuration is CanonicalState
+
+    def test_unsorted_configuration_answers_as_sorted(self):
+        # Configuration keeps the order it is given, so the entry points sort.
+        g = make_path(6)
+        unsorted, ordered = Configuration((3, 0), (5,)), Configuration((0, 3), (5,))
+        for objective, want in (("all_sources", 3), ("first_new_source", 1)):
+            assert game_value(g, unsorted, objective) == want
+            assert game_value(g, ordered, objective) == want
+        assert solvable(g, 2, unsorted) and solvable(g, 2, ordered)
