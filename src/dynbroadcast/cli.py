@@ -262,6 +262,8 @@ def cmd_analyze(args, out) -> int:
 def cmd_simulate(args, out) -> int:
     if args.spec:
         spec = json.loads(Path(args.spec).read_text())
+    elif args.graph is None:
+        raise ValueError("simulate needs a graph or --spec")
     else:
         spec = {
             "graph": args.graph,
@@ -289,6 +291,9 @@ def _run_experiment(spec: dict, budget_states: int = DEFAULT_BUDGET_STATES) -> T
     """Build the graph, both policies and the placement of an experiment spec,
     and play it. A bare "random_tree" adversary is seeded with the spec's seed;
     solver-backed policies build their attractor within `budget_states`."""
+    for key in ("graph", "agents", "adversary", "max_rounds"):
+        if key not in spec:
+            raise ValueError(f'spec is missing "{key}"')
     g = _load_graph(spec["graph"])
     adversary_spec = spec["adversary"]
     if "random_tree" in adversary_spec and ":" not in adversary_spec:

@@ -118,9 +118,10 @@ def validate_removal(g: Graph, removed: Iterable[Edge]) -> bool:
 
 
 def _check_positions(g: Graph, positions: Iterable[int]) -> None:
-    """ValueError unless every position is a node of g."""
+    """ValueError unless every position is a node of g: an `int` (not a bool
+    or a float equal to one) in range."""
     for p in positions:
-        if p not in g.nodes:
+        if type(p) is not int or p not in g.nodes:
             raise ValueError(f"position {p} is not a node of the graph (0..{g.node_count - 1})")
 
 
@@ -265,11 +266,13 @@ def check_trace(trace: Trace) -> None:
     _check_positions(trace.graph, trace.initial.positions)
     state = trace.initial
     for rec in trace.rounds:
+        targets = tuple(t for _, t in rec.moves)
+        _check_positions(trace.graph, targets)  # the move rule accepts 1.0 for 1
         try:
             surviving = _surviving_graph(trace.graph, rec.removed_edges)
             if tuple(f for f, _ in rec.moves) != state.positions:
                 raise RuleViolation("moves do not match positions")
-            state, conversions = _move(surviving, state, tuple(t for _, t in rec.moves))
+            state, conversions = _move(surviving, state, targets)
             if conversions != rec.conversions:
                 raise RuleViolation("conversion record mismatch")
         except RuleViolation as exc:

@@ -5,6 +5,17 @@ interface: agent policies map (surviving graph, agent state, memory) to a
 target node per agent; adversary policies map (base graph, agent state,
 memory) to a connectivity-preserving removal set. All "arbitrary" choices are
 resolved lowest-id-first so traces are reproducible and cycle detection works.
+
+Locality. In a round every agent stays or crosses one surviving edge at its
+own node, so the edges at the occupied nodes, the menu
+`tuple(surviving.adjacency()[p] for p in sorted(set(state.positions)))`,
+are all a move can use. An agent policy whose reply (targets and memory)
+depends on the surviving graph only through that menu declares the class
+attribute `local = True`; `solver.model_check_policy` then calls it once per
+distinct menu rather than once per connected removal. The theta strategy,
+`solver.SolvedAgentPolicy` and `CliquePolicy` are local. `TowardSourcePolicy`,
+`GreedyPathPolicy` and `LollipopPolicy` read distances over the whole
+survivor, so they are not; a policy without the attribute is not local.
 """
 
 from __future__ import annotations
@@ -545,6 +556,7 @@ class ThetaBroadcastPolicy:
 
     role = "agents"
     name = "theta_broadcast"
+    local = True  # reads only edges at agent positions (`step_toward`, `has_edge`)
 
     def __init__(self, k: int | None = None):
         self.k = k
@@ -1124,9 +1136,10 @@ def _clique_attractor(c: int, agents: int, budget_states: int) -> solver.Attract
 class CliquePolicy:
     """Winning policy for complete graphs, read off the exact solver's
     attractor (the underlying constructive strategy is cited, not included).
-    The attractor is the policy's memory."""
+    The attractor is the policy's memory. Local, as `SolvedAgentPolicy` is."""
 
     role = "agents"
+    local = True
 
     def __init__(self, budget_states: int = solver.DEFAULT_BUDGET_STATES):
         self.budget_states = budget_states

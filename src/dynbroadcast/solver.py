@@ -27,15 +27,20 @@ Three questions are asked of such graphs:
   ignorant agents than at the start";
 - `model_check_policy`: the nodes are (agent state, policy memory) pairs
   reached from the start. A fixed agent policy gives one single-successor
-  branch per removal; a fixed adversary gives one branch holding every joint
-  move, and its removal must leave the graph connected, as in `simulate`.
-  A fixed-agent check therefore costs expanded nodes x removals calls of
-  the policy's `decide`, and that, not the fixpoint, sets its time. Every
-  reply is checked for legality over its own survivor, but each distinct
-  target tuple at a node is moved and converted once (about three replies
-  in four repeat one on the theta strategy). Against a fixed adversary, the
-  surviving adjacency of each connected removal is built once per check; a
-  removal that disconnects the graph is never stored, so it always raises.
+  branch per call of its `decide`; a fixed adversary gives one branch
+  holding every joint move, and its removal must leave the graph connected,
+  as in `simulate`. A fixed-agent check's time is set by those calls, not
+  by the fixpoint. A policy that declares `local = True` reads the survivor
+  only through its menu at the occupied nodes (see below and `policies`):
+  equal menus give equal replies, hence equal successors, so it is called
+  once per distinct menu, and the adversary's set of distinct successors at
+  every node is unchanged. The removals are grouped by menu once per
+  distinct occupied set. Any other policy is called once per removal.
+  Every reply is checked for legality over the survivor it was given, and
+  each distinct target tuple at a node is moved and converted once. Against
+  a fixed adversary, the surviving adjacency of each connected removal is
+  built once per check; a removal that disconnects the graph is never
+  stored, so it always raises.
   Against a fixed agent policy the removals are always every connected
   removal (`connected_removals`): the spanning-tree reduction below is
   unsound against a fixed agent policy, which may react to the exact
@@ -720,11 +725,13 @@ class SolvedAgentPolicy:
     The successor depends only on the two target multisets, so the moves are
     split by class: each class's labelled target tuples are grouped by their
     sorted tuple, ranks are looked up once per pair of multisets, and full
-    target tuples are built only for the pairs of minimal rank.
+    target tuples are built only for the pairs of minimal rank. It reads the
+    survivor only through the edges at occupied nodes, so it is local.
     """
 
     role = "agents"
     name = "solved_agents"
+    local = True
 
     def __init__(self, attractor: Attractor):
         self.attractor = attractor
@@ -822,6 +829,15 @@ class SolvedAdversaryPolicy:
 
 @dataclass
 class SolverResult:
+    """Outcome of `model_check_policy`.
+
+    `branches` counts the edges of the game graph, (node, successor) pairs:
+    against a fixed agent policy one per call of its `decide`, which is one
+    per distinct menu at an expanded node for a local policy and one per
+    connected removal otherwise; against a fixed adversary one per joint
+    move. `decide_calls` counts the calls to the fixed policy's `decide`.
+    """
+
     winner: Literal["agents", "adversary"]
     optimal_rounds: int | float  # inf iff winner == "adversary"
     states_explored: int
@@ -837,13 +853,10 @@ def model_check_policy(
 ) -> SolverResult:
     """Play one side with `fixed` and the other side optimally (exhaustively).
 
-    A fixed agent policy faces every connectivity-preserving removal; a fixed
-    adversary's removal raises `RuleViolation` if it disconnects the graph.
-
-    `branches` counts the edges of the game graph: (node, successor) pairs, one
-    per removal at each expanded node against a fixed agent policy, one per
-    joint move against a fixed adversary. `decide_calls` counts the calls to
-    `fixed.decide`: one per removal, or one, at each expanded node.
+    A fixed agent policy faces every connectivity-preserving removal, and a
+    local one (`local = True`) is asked once per distinct menu among them; a
+    fixed adversary's removal raises `RuleViolation` if it disconnects the
+    graph. See `SolverResult` for the counts.
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
@@ -853,13 +866,30 @@ def model_check_policy(
 
     if fixed.role == "agents":
         survivors = [g.without(r) for r in connected_removals(g)]
-        decides_per_node = len(survivors)
+        local = getattr(fixed, "local", False)
+        by_occupied: dict[tuple[int, ...], list[Graph]] = {}
+
+        def representatives(positions: tuple[int, ...]) -> list[Graph]:
+            # One survivor per distinct menu at the occupied nodes for a local
+            # policy, every survivor otherwise.
+            if not local:
+                return survivors
+            occupied = tuple(sorted(set(positions)))
+            reps = by_occupied.get(occupied)
+            if reps is None:
+                by_menu: dict[tuple, Graph] = {}
+                for surviving in survivors:
+                    adj = surviving.adjacency()
+                    by_menu.setdefault(tuple([adj[p] for p in occupied]), surviving)
+                reps = by_occupied[occupied] = list(by_menu.values())
+            return reps
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
-            # One branch per removal, holding the policy's single reply. Every
-            # reply is checked; each distinct target tuple is moved once.
+            # One branch per representative survivor, holding the policy's
+            # single reply. Every reply is checked; each distinct target tuple
+            # is moved once.
             out, moved = [], {}
-            for surviving in survivors:
+            for surviving in representatives(state.positions):
                 targets, mem2 = fixed.decide(surviving, state, mem)
                 _check_moves(surviving, state, targets)
                 nxt = moved.get(targets)
@@ -870,7 +900,6 @@ def model_check_policy(
             return out
 
     else:
-        decides_per_node = 1
         adjacency: dict[frozenset[Edge], tuple] = {}  # connected removals seen
 
         def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
@@ -889,7 +918,6 @@ def model_check_policy(
     # Each branch is its own successor set.
     owner, values, offsets = array("i"), array("i"), array("q", [0])
     stack = [start]
-    expanded = 0
     while stack:
         node = stack.pop()
         state, mem = node
@@ -899,7 +927,6 @@ def model_check_policy(
         if len(ids) > budget_states:
             raise BudgetExceeded("undecided: budget (model check exploration)")
         here = ids[node]
-        expanded += 1
         for branch in expand(state, mem):
             succ_ids = []
             for nxt in branch:
@@ -921,7 +948,8 @@ def model_check_policy(
         np.frombuffer(offsets, dtype=np.int64),
     )
     r = int(_solve(goal, graph)[0])
-    counts = (len(ids), len(values), expanded * decides_per_node)
+    # Each call to `fixed.decide` gives exactly one branch.
+    counts = (len(ids), len(values), len(owner))
     if r >= 0:
         return SolverResult("agents", r, *counts)
     return SolverResult("adversary", INFINITE, *counts)

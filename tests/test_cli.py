@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynbroadcast
 from dynbroadcast.cli import main
 from dynbroadcast.graph import Graph, graph_to_json, make_path, make_ring, make_theta
 
@@ -294,6 +299,24 @@ class TestSimulate:
         assert code == 0
         assert "outcome=solved" in out
 
+    @pytest.mark.parametrize("key", ["graph", "agents", "adversary", "max_rounds"])
+    def test_spec_file_missing_a_key_is_diagnostic(self, capsys, tmp_path, key):
+        spec = {"graph": "path:5", "agents": "toward_source", "adversary": "passive",
+                "max_rounds": 50}
+        del spec[key]
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--spec", str(f))
+        assert code == 1
+        assert out == ""
+        assert err == f'error: spec is missing "{key}"\n'
+
+    def test_no_graph_and_no_spec_is_diagnostic(self, capsys):
+        code, out, err = run(capsys, "simulate")
+        assert code == 1
+        assert out == ""
+        assert err == "error: simulate needs a graph or --spec\n"
+
 
 class TestSolve:
     def test_min_agents_ring(self, capsys):
@@ -406,6 +429,35 @@ class TestCheckTrace:
         assert out == ""
         assert err.startswith(f"error: position {position} is not a node")
 
+    @pytest.mark.parametrize("position", [2.0, True])
+    def test_non_integer_start_fails(self, capsys, tmp_path, position):
+        # 2.0 and True both lie in range(5), but neither is a node.
+        dest = tmp_path / "float.trace.json"
+        dest.write_text(json.dumps({
+            "graph": json.loads(graph_to_json(make_path(5))),
+            "initial": {"is_source": [False, True], "positions": [position, 0]},
+            "outcome": None,
+            "rounds": [],
+        }))
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: position {position} is not a node of the graph (0..4)\n"
+
+    def test_non_integer_move_fails(self, capsys, tmp_path):
+        # 1.0 == 1 passes the move rule, so each round's targets are checked too.
+        dest = tmp_path / "float.trace.json"
+        dest.write_text(json.dumps({
+            "graph": json.loads(graph_to_json(make_path(3))),
+            "initial": {"is_source": [False, True], "positions": [0, 2]},
+            "outcome": {"kind": "solved", "period": None, "round": 1},
+            "rounds": [{"conversions": [1], "moves": [[0, 1.0], [2, 1]], "removed": [], "round": 1}],
+        }))
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err == "error: position 1.0 is not a node of the graph (0..2)\n"
+
     @pytest.mark.parametrize(
         "text", ['{"graph": {"nodes": 2, "edges": [[0, 1]]}}', "not json", '{"graph": 3}'],
     )
@@ -479,3 +531,22 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    def python_m(self, tmp_path, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(dynbroadcast.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "dynbroadcast", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        r = self.python_m(tmp_path, "simulate", "path:5", "--placement", "ignorant=0,source=4")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == "outcome=solved round 2 rounds_played=2 conversions=1\n"
+
+    def test_python_m_keeps_the_exit_code(self, tmp_path):
+        r = self.python_m(tmp_path, "simulate", "path:5", "--placement", "ignorant=9,source=0")
+        assert r.returncode == 1
+        assert r.stderr == "error: position 9 is not a node of the graph (0..4)\n"

@@ -224,6 +224,13 @@ class TestOffGraphPositions:
         with pytest.raises(ValueError, match="position -1 is not a node"):
             check_trace(trace)
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_check_trace_rejects_non_integer_start(self, bad):
+        # 2.0 and True both lie in range(5), but neither is a node.
+        trace = Trace(make_path(5), AgentState((bad, 0), (False, True)), [], None)
+        with pytest.raises(ValueError, match=rf"position {bad} is not a node of the graph"):
+            check_trace(trace)
+
 
 class TestTraces:
     def make_trace(self):

@@ -22,6 +22,8 @@ from dynbroadcast.solver import (
     model_check_policy,
 )
 
+from test_policies import check_summary, non_local
+
 from oracle import ignorant_count, joint_moves, solved_agent_targets, values
 
 
@@ -211,11 +213,15 @@ def solved_agent_start_cases():
 @pytest.mark.parametrize("g, k", list(solved_agent_start_cases()))
 def test_solved_agent_model_check_equals_attractor_rank(g, k):
     # Against every connected removal, the extracted policy wins from every
-    # winning start in exactly the attractor's minimax round count.
+    # winning start in exactly the attractor's minimax round count, and asked
+    # once per distinct menu it gives the answers of its non-local twin.
     att = compute_attractor(g, k + 1)
     policy = SolvedAgentPolicy(att)
+    twin = non_local(policy)
     for ig, src in distinct_starts(g, k):
         rank = att.rank.get((ig, src))
         if rank is not None:
             res = model_check_policy(g, initial_state(ig, src), policy)
             assert res.optimal_rounds == rank, (ig, src)
+            ref = model_check_policy(g, initial_state(ig, src), twin)
+            assert check_summary(res) == check_summary(ref), (ig, src)

@@ -1,10 +1,12 @@
 """Agent and adversary strategies: legality, placements, and outcomes."""
 
+import copy
 import itertools
 
 import networkx as nx
 import pytest
 
+from dynbroadcast import policies, solver
 from dynbroadcast.engine import RuleViolation, initial_state, simulate, validate_removal
 from dynbroadcast.graph import (
     Graph,
@@ -32,7 +34,13 @@ from dynbroadcast.policies import (
     TowardSourcePolicy,
     make_policy,
 )
-from dynbroadcast.solver import model_check_policy
+from dynbroadcast.solver import (
+    SolvedAgentPolicy,
+    SolverResult,
+    compute_attractor,
+    connected_removals,
+    model_check_policy,
+)
 
 
 def theta_start(ds, k=None):
@@ -41,6 +49,19 @@ def theta_start(ds, k=None):
     mids = [p[1 : -1][len(p[1:-1]) // 2] for p in lab["paths"]]
     k = k if k is not None else len(ds)
     return g, initial_state(mids[:k], [lab["north"]])
+
+
+def non_local(policy):
+    """A copy of `policy` whose class is a `local = False` subclass of its
+    own: the model checker then asks it once per connected removal."""
+    twin = copy.copy(policy)
+    cls = type(policy)
+    twin.__class__ = type(f"NonLocal{cls.__name__}", (cls,), {"local": False})
+    return twin
+
+
+def check_summary(res):
+    return res.winner, res.optimal_rounds, res.states_explored
 
 
 class TestAdversaryLegality:
@@ -108,9 +129,13 @@ class TestThetaBroadcast:
     def test_model_check_is_pinned(self, ds, rounds, states):
         # Winner, minimax rounds and nodes explored against every connected
         # removal; any change to a decision or to the removals moves them.
+        # They are equal whether the policy is asked once per distinct menu
+        # (local) or once per removal (its non-local twin).
         g, state = theta_start(ds)
         res = model_check_policy(g, state, ThetaBroadcastPolicy(k=len(ds)))
-        assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", rounds, states)
+        ref = model_check_policy(g, state, non_local(ThetaBroadcastPolicy(k=len(ds))))
+        assert check_summary(res) == check_summary(ref) == ("agents", rounds, states)
+        assert res.decide_calls < ref.decide_calls
 
     def test_initial_memories_on_one_graph_are_equal(self):
         # The layout in the memory is memoised on the graph, so two starts
@@ -355,3 +380,104 @@ class TestMakePolicy:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("does_not_exist")
+
+
+def menu_of(surviving, positions):
+    adj = surviving.adjacency()
+    return tuple(adj[p] for p in sorted(set(positions)))
+
+
+def expanded_nodes(g, start, policy):
+    """The (state, memory) nodes at which the model check calls `decide`."""
+    nodes = set()
+    decide = policy.decide
+
+    def record(surviving, state, memory):
+        nodes.add((state, memory))
+        return decide(surviving, state, memory)
+
+    policy.decide = record
+    try:
+        model_check_policy(g, start, policy)
+    finally:
+        del policy.decide
+    return nodes
+
+
+def menu_splits(g, start, policy):
+    """The states of the expanded nodes at which two connected removals with
+    equal menus get unequal replies (targets, memory) from `policy`."""
+    survivors = [g.without(r) for r in connected_removals(g)]
+    splits = []
+    for state, memory in expanded_nodes(g, start, policy):
+        replies = {}
+        for surviving in survivors:
+            reply = policy.decide(surviving, state, memory)
+            if replies.setdefault(menu_of(surviving, state.positions), reply) != reply:
+                splits.append(state)
+                break
+    return splits
+
+
+def _solved_agent_theta44():
+    g, state = theta_start([4, 4])
+    return g, state, SolvedAgentPolicy(compute_attractor(g, 3))
+
+
+def _clique_policy_complete4():
+    return make_complete(4), initial_state([1, 2], [0]), CliquePolicy()
+
+
+LOCALITY_CASES = [
+    pytest.param(lambda: (*theta_start([3, 3]), ThetaBroadcastPolicy(k=2)), id="theta33"),
+    pytest.param(lambda: (*theta_start([4, 4]), ThetaBroadcastPolicy(k=2)), id="theta44"),
+    pytest.param(lambda: (*theta_start([2, 2, 2]), ThetaBroadcastPolicy(k=3)), id="theta222"),
+    pytest.param(_solved_agent_theta44, id="solved_agent-theta44"),
+    pytest.param(_clique_policy_complete4, id="clique_policy-complete4"),
+    pytest.param(
+        lambda: (*theta_start([3, 3], k=1), TowardSourcePolicy()), id="toward_source-theta33"
+    ),
+]
+
+# The local policy classes that LOCALITY_CASES covers.
+LOCAL_POLICIES = {ThetaBroadcastPolicy, SolvedAgentPolicy, CliquePolicy}
+
+
+class TestLocality:
+    @pytest.mark.parametrize("case", LOCALITY_CASES)
+    def test_equal_menus_give_equal_replies(self, case):
+        # At every node the model check expands, a local policy's reply over
+        # every connected removal depends only on the menu. A non-local
+        # policy must show a node where it does not, or it could be local.
+        g, start, policy = case()
+        splits = menu_splits(g, start, policy)
+        if getattr(policy, "local", False):
+            assert splits == []
+        else:
+            assert splits
+
+    def test_every_local_policy_is_covered(self):
+        declared = {
+            cls
+            for module in (policies, solver)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and getattr(cls, "local", False)
+        }
+        assert declared == LOCAL_POLICIES
+
+    @pytest.mark.parametrize(
+        "case, calls",
+        [(_solved_agent_theta44, (10, 122, 439, 792)), (_clique_policy_complete4, (3, 32, 362, 418))],
+        ids=["solved_agent-theta44", "clique_policy-complete4"],
+    )
+    def test_local_check_equals_its_non_local_twin(self, case, calls):
+        # Same answers; the local check asks once per distinct menu, and each
+        # call is one branch.
+        g, start, policy = case()
+        rounds, states, local_calls, removal_calls = calls
+        assert model_check_policy(g, start, policy) == SolverResult(
+            "agents", rounds, states, local_calls, local_calls
+        )
+        assert model_check_policy(g, start, non_local(policy)) == SolverResult(
+            "agents", rounds, states, removal_calls, removal_calls
+        )

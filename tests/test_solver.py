@@ -47,7 +47,7 @@ from dynbroadcast.solver import (
 )
 
 from test_engine import _FixedRemoval
-from test_policies import theta_start
+from test_policies import menu_of, non_local, theta_start
 
 
 def atlas_graphs(max_nodes=5, min_nodes=2):
@@ -395,22 +395,37 @@ class TestModelChecker:
         assert res.winner == "agents"
 
     def test_counters_match_a_recount(self):
-        # Against a fixed agent policy, every expanded node calls decide once
-        # per removal, and each call is one edge of the game graph.
-        g = make_theta([4, 4])
-        lab = g.family.labels
-        mids = [p[1 + (len(p) - 2) // 2] for p in lab["paths"]]
+        # Against a non-local fixed agent policy, every expanded node calls
+        # decide once per removal, and each call is one edge of the game graph.
+        g, start = theta_start([4, 4])
+        removals = connected_removals(g)
         calls = []
 
         class CountingTheta(ThetaBroadcastPolicy):
+            local = False
+
             def decide(self, surviving, state, memory):
                 calls.append((state, memory))
                 return super().decide(surviving, state, memory)
 
-        res = model_check_policy(g, initial_state(mids, [lab["north"]]), CountingTheta(k=2))
+        res = model_check_policy(g, start, CountingTheta(k=2))
         assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", 16, 427)
         expanded = set(calls)
-        assert res.decide_calls == len(calls) == len(expanded) * len(connected_removals(g))
+        assert res.decide_calls == len(calls) == len(expanded) * len(removals) == 3003
+        assert res.branches == len(calls)
+
+        # A local policy is called once per distinct menu at each expanded
+        # node, over the same nodes.
+        calls.clear()
+        CountingTheta.local = True
+        res = model_check_policy(g, start, CountingTheta(k=2))
+        assert (res.winner, res.optimal_rounds, res.states_explored) == ("agents", 16, 427)
+        assert set(calls) == expanded
+        menus = sum(
+            len({menu_of(g.without(r), state.positions) for r in removals})
+            for state, _ in expanded
+        )
+        assert res.decide_calls == len(calls) == menus == 1655
         assert res.branches == len(calls)
 
         # Against a fixed adversary, each expanded node calls decide once and
@@ -484,9 +499,13 @@ class TestModelChecker:
         assert res == SolverResult("adversary", float("inf"), *want)
 
     def test_theta_strategy_result_is_pinned(self):
+        # One call and one branch per connected removal on the non-local
+        # path, per distinct menu on the local one.
         g, start = theta_start([6, 6])
-        res = model_check_policy(g, start, ThetaBroadcastPolicy(k=2))
+        res = model_check_policy(g, start, non_local(ThetaBroadcastPolicy(k=2)))
         assert res == SolverResult("agents", 22, 805, 8295, 8295)
+        res = model_check_policy(g, start, ThetaBroadcastPolicy(k=2))
+        assert res == SolverResult("agents", 22, 805, 3477, 3477)
 
 
 class _FixedTargets:
