@@ -291,21 +291,29 @@ def _run_experiment(spec: dict, budget_states: int = DEFAULT_BUDGET_STATES) -> T
     """Build the graph, both policies and the placement of an experiment spec,
     and play it. A bare "random_tree" adversary is seeded with the spec's seed;
     solver-backed policies build their attractor within `budget_states`."""
+    if not isinstance(spec, dict):
+        raise ValueError("spec must be a JSON object")
     for key in ("graph", "agents", "adversary", "max_rounds"):
         if key not in spec:
             raise ValueError(f'spec is missing "{key}"')
+    for key in ("graph", "agents", "adversary", "placement"):
+        if not isinstance(spec.get(key, ""), str):
+            raise ValueError(f'spec "{key}" must be a string, not {spec[key]!r}')
+    for key in ("k_ignorant", "k_source", "max_rounds"):
+        if type(spec.get(key, 1)) is not int:
+            raise ValueError(f'spec "{key}" must be an integer, not {spec[key]!r}')
     g = _load_graph(spec["graph"])
     adversary_spec = spec["adversary"]
     if "random_tree" in adversary_spec and ":" not in adversary_spec:
         adversary_spec = f"random_tree:seed={spec.get('seed', 0)}"
     agents = make_policy(spec["agents"], g, budget_states)
     adversary = make_policy(adversary_spec, g, budget_states)
-    k = int(spec.get("k_ignorant", 1))
-    k_source = int(spec.get("k_source", 1))
+    k = spec.get("k_ignorant", 1)
+    k_source = spec.get("k_source", 1)
     state = _parse_placement(
         spec.get("placement", "auto"), g, k, k_source, agents, adversary
     )
-    return simulate(g, state, agents, adversary, max_rounds=int(spec["max_rounds"]))
+    return simulate(g, state, agents, adversary, max_rounds=spec["max_rounds"])
 
 
 def _outcome_detail(oc: Outcome) -> str:
@@ -442,10 +450,7 @@ def _suite_names() -> list[str]:
 
 
 def cmd_verify(args, out) -> int:
-    if args.suite == "all":
-        names = _suite_names()
-    else:
-        names = [args.suite]
+    names = _suite_names() if args.suite == "all" else [args.suite]
     rows: list[tuple[str, bool, str]] = []
     outdir = Path(args.output) if args.output else None
     if outdir:
@@ -514,17 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", default="toward_source")
     p.add_argument("--adversary", default="passive")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--k-source", type=int, default=1, dest="k_source")
+    p.add_argument("--k-source", type=int, default=1)
     p.add_argument("--placement", default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=500, dest="max_rounds")
-    p.add_argument("--budget-states", type=int, default=2_000_000, dest="budget_states")
+    p.add_argument("--max-rounds", type=int, default=500)
+    p.add_argument("--budget-states", type=int, default=2_000_000)
     p.add_argument("--output", default=None, help="trace JSON file")
 
     p = sub.add_parser("solve", help="exact solver: min agents / solvability / value")
     p.add_argument("graph")
     question = p.add_mutually_exclusive_group()
-    question.add_argument("--k-max", type=int, default=4, dest="k_max")
+    question.add_argument("--k-max", type=int, default=4)
     question.add_argument("--k", type=int, default=None)
     question.add_argument("--value", action="store_true", help="compute game value instead")
     # None marks a flag not given, so that cmd_solve can reject it.
@@ -537,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with --value (default: all_sources)",
     )
-    p.add_argument("--budget-states", type=int, default=2_000_000, dest="budget_states")
+    p.add_argument("--budget-states", type=int, default=2_000_000)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(usage_error=p.error)
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple, Protocol
 
-from .graph import Edge, Graph, _norm_edge, graph_from_json, graph_to_json
+from .graph import Edge, Graph, _norm_edge, graph_from_doc, graph_to_doc
 
 
 class RuleViolation(ValueError):
@@ -114,7 +114,7 @@ class Trace:
 def validate_removal(g: Graph, removed: Iterable[Edge]) -> bool:
     """True iff the removal keeps the graph connected; GraphError if it names
     an edge the graph does not have."""
-    return g.without(removed).is_connected()
+    return g.is_connected(removed)
 
 
 def _check_positions(g: Graph, positions: Iterable[int]) -> None:
@@ -168,14 +168,16 @@ def _move(
 
 def _check_moves(surviving: Graph, state: AgentState, targets: tuple[int, ...]) -> None:
     """RuleViolation unless targets gives every agent a stay or a step along
-    a surviving edge."""
+    a surviving edge; a target must be an `int`, so 1.0 is not node 1."""
     if len(targets) != state.total:
         raise RuleViolation(
             f"move count {len(targets)} does not cover the {state.total} agents"
         )
-    adj = surviving.adjacency()
+    masks = surviving.neighbour_masks()
     for i, (src, dst) in enumerate(zip(state.positions, targets)):
-        if dst != src and dst not in adj[src]:
+        if type(dst) is not int:
+            raise RuleViolation(f"agent {i} target {dst!r} is not a node")
+        if dst != src and (dst < 0 or not masks[src] >> dst & 1):
             raise RuleViolation(f"agent {i} move {src}->{dst} is not stay-or-adjacent")
 
 
@@ -267,7 +269,7 @@ def check_trace(trace: Trace) -> None:
     state = trace.initial
     for rec in trace.rounds:
         targets = tuple(t for _, t in rec.moves)
-        _check_positions(trace.graph, targets)  # the move rule accepts 1.0 for 1
+        _check_positions(trace.graph, targets)  # reported as a position, like the start
         try:
             surviving = _surviving_graph(trace.graph, rec.removed_edges)
             if tuple(f for f, _ in rec.moves) != state.positions:
@@ -286,18 +288,19 @@ def check_trace(trace: Trace) -> None:
 
 
 def trace_to_json(trace: Trace) -> str:
+    # json.dumps writes tuples as arrays, so the record's tuples go in as they are.
     doc: dict[str, Any] = {
-        "graph": json.loads(graph_to_json(trace.graph)),
+        "graph": graph_to_doc(trace.graph),
         "initial": {
-            "positions": list(trace.initial.positions),
-            "is_source": list(trace.initial.is_source),
+            "positions": trace.initial.positions,
+            "is_source": trace.initial.is_source,
         },
         "rounds": [
             {
                 "round": rec.round_index,
-                "removed": [list(e) for e in sorted(rec.removed_edges)],
-                "moves": [list(m) for m in rec.moves],
-                "conversions": list(rec.conversions),
+                "removed": sorted(rec.removed_edges),
+                "moves": rec.moves,
+                "conversions": rec.conversions,
             }
             for rec in trace.rounds
         ],
@@ -314,7 +317,7 @@ def trace_to_json(trace: Trace) -> str:
 
 def trace_from_json(text: str) -> Trace:
     doc = json.loads(text)
-    g = graph_from_json(json.dumps(doc["graph"]))
+    g = graph_from_doc(doc["graph"])
     initial = AgentState(
         tuple(doc["initial"]["positions"]), tuple(bool(b) for b in doc["initial"]["is_source"])
     )

@@ -39,15 +39,22 @@ class FamilyInfo:
 class Graph:
     """Undirected simple connected graph on nodes 0..node_count-1.
 
-    ``adjacency()``, ``automorphisms(g)`` and ``theta_layout(g)`` are
-    memoised on the instance. That is safe because the graph is frozen; the
-    memos take no part in equality, hashing or repr.
+    ``adjacency()``, ``neighbour_masks()``, ``sorted_edges(g)``,
+    ``automorphisms(g)`` and ``theta_layout(g)`` are memoised on the
+    instance. That is safe because the graph is frozen; the memos take no
+    part in equality, hashing or repr.
     """
 
     node_count: int
     edges: frozenset[Edge]
     family: FamilyInfo | None = field(default=None, compare=False, hash=False)
     _adjacency: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _masks: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _sorted_edges: tuple[Edge, ...] | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
     _automorphisms: tuple[tuple[int, ...], ...] | None = field(
@@ -75,15 +82,28 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, read off the neighbour masks."""
         adj = self._adjacency
         if adj is None:
-            lists: list[list[int]] = [[] for _ in range(self.node_count)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            adj = tuple(tuple(sorted(nbrs)) for nbrs in lists)
+            lists = []
+            for mask in self.neighbour_masks():
+                nbrs = []
+                while mask:
+                    low = mask & -mask
+                    nbrs.append(low.bit_length() - 1)
+                    mask ^= low
+                lists.append(tuple(nbrs))
+            adj = tuple(lists)
             object.__setattr__(self, "_adjacency", adj)
         return adj
+
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit w of masks[v] is set iff vw is an edge."""
+        masks = self._masks
+        if masks is None:
+            masks = tuple(_masks_of(self.node_count, self.edges))
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency()[v]
@@ -94,20 +114,61 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
 
-    # -- connectivity and metrics --------------------------------------------
+    # -- connectivity and the surviving graph ----------------------------------
 
-    def is_connected(self, removed: frozenset[Edge] | None = None) -> bool:
-        if removed:
-            return is_connected(self.node_count, self.edges - removed)
-        return _spans(self.adjacency())
+    def is_connected(self, removed: Iterable[Edge] = frozenset()) -> bool:
+        """Whether the graph left by `removed` (checked as in `without`) is
+        connected."""
+        return _spans(self._survivor_masks(self._removal(removed)))
 
     def without(self, removed: Iterable[Edge]) -> "Graph":
-        """Surviving graph after an edge removal; keeps the family annotation."""
+        """Surviving graph after an edge removal; keeps the family annotation.
+
+        GraphError if `removed` names an edge the graph does not have. The
+        survivor is not checked for connectivity; its ``is_connected()``
+        is one bit-mask walk.
+        """
+        gone = self._removal(removed)
+        if not gone:
+            return self
+        survivor = object.__new__(Graph)
+        # Every kept edge was validated with this graph, so the survivor is
+        # filled in directly rather than re-checked by `__post_init__`.
+        vars(survivor).update(
+            node_count=self.node_count,
+            edges=self.edges - gone,
+            family=self.family,
+            _adjacency=None,
+            _masks=tuple(self._survivor_masks(gone)),
+            _sorted_edges=None,
+            _automorphisms=None,
+            _theta_layout=None,
+        )
+        return survivor
+
+    def _removal(self, removed: Iterable[Edge]) -> frozenset[Edge]:
+        """`removed` as a set of this graph's edges; GraphError for a
+        self-loop or an edge the graph does not have."""
+        if type(removed) is frozenset and removed <= self.edges:
+            return removed
         gone = frozenset(_norm_edge(u, v) for u, v in removed)
         missing = gone - self.edges
         if missing:
             raise GraphError(f"edges not in graph: {sorted(missing)}")
-        return Graph(self.node_count, self.edges - gone, self.family)
+        return gone
+
+    def _survivor_masks(self, gone: frozenset[Edge]) -> list[int]:
+        """Neighbour masks after removing `gone`, a subset of the edges.
+        GraphError if an edge names a node by a float such as 1.0, which
+        compares equal to the node but cannot index it."""
+        masks = list(self.neighbour_masks())
+        try:
+            for u, v in gone:
+                masks[u] ^= 1 << v
+                masks[v] ^= 1 << u
+        except TypeError:
+            raise GraphError(f"removed edges must name nodes by int: {sorted(gone)}") from None
+        return masks
 
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; unreachable nodes get -1."""
@@ -133,34 +194,34 @@ class Graph:
 
     def bridges(self) -> frozenset[Edge]:
         """All cut-edges, by removal probing (desk scale)."""
-        return frozenset(
-            e for e in self.edges if not is_connected(self.node_count, self.edges - {e})
-        )
+        return frozenset(e for e in self.edges if not self.is_connected(frozenset((e,))))
 
 
 def is_connected(node_count: int, edges: Iterable[Edge]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(node_count)]
+    return _spans(_masks_of(node_count, edges))
+
+
+def _masks_of(node_count: int, edges: Iterable[Edge]) -> list[int]:
+    masks = [0] * node_count
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return _spans(adj)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
-def _spans(adj) -> bool:
-    """True iff a walk from node 0 over adjacency lists reaches every node."""
-    node_count = len(adj)
-    seen = [False] * node_count
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == node_count
+def _spans(masks) -> bool:
+    """True iff a walk from node 0 over neighbour masks reaches every node."""
+    unseen = (1 << len(masks)) - 2
+    frontier = 1
+    while unseen:
+        if not frontier:
+            return False
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        new = masks[v] & unseen
+        unseen ^= new
+        frontier |= new
+    return True
 
 
 MAX_AUTOMORPHISMS = 5040  # 7!; the solver makes one pass over its states per element
@@ -543,24 +604,35 @@ def contract_cut_edges(g: Graph) -> tuple[Graph, dict[int, int]]:
 # -- canonical JSON ------------------------------------------------------------
 
 
-def sorted_edges(g: Graph) -> list[list[int]]:
-    return [list(e) for e in sorted(g.edges)]
+def sorted_edges(g: Graph) -> tuple[Edge, ...]:
+    """The edges in lexicographic order; memoised on the instance."""
+    order = g._sorted_edges
+    if order is None:
+        order = tuple(sorted(g.edges))
+        object.__setattr__(g, "_sorted_edges", order)
+    return order
 
 
-def graph_to_json(g: Graph) -> str:
-    """Canonical byte-stable JSON: edges with u < v, sorted lexicographically."""
+def graph_to_doc(g: Graph) -> dict[str, Any]:
+    """The JSON document of g: edges with u < v, sorted lexicographically."""
     doc: dict[str, Any] = {"nodes": g.node_count, "edges": sorted_edges(g)}
     if g.family is not None:
         doc["family"] = {
             "kind": g.family.kind,
-            "params": list(g.family.params),
+            "params": g.family.params,
             "labels": g.family.labels,
         }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return doc
 
 
-def graph_from_json(text: str) -> Graph:
-    doc = json.loads(text)
+def graph_to_json(g: Graph) -> str:
+    """Canonical byte-stable JSON of `graph_to_doc(g)`."""
+    return json.dumps(graph_to_doc(g), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def graph_from_doc(doc: Any) -> Graph:
+    """The connected graph a parsed JSON document describes; GraphError if it
+    is disconnected or a family label names a missing node."""
     fam = None
     if "family" in doc:
         fam = FamilyInfo(
@@ -575,6 +647,10 @@ def graph_from_json(text: str) -> Graph:
     if fam is not None:
         _check_label_nodes(g)
     return g
+
+
+def graph_from_json(text: str) -> Graph:
+    return graph_from_doc(json.loads(text))
 
 
 def _check_label_nodes(g: Graph) -> None:

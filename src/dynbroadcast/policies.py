@@ -33,9 +33,9 @@ from .graph import (
     GraphError,
     ThetaLayout,
     grid_node,
-    is_connected,
     make_complete,
     make_grid,
+    sorted_edges,
     theta_layout,
 )
 
@@ -82,23 +82,25 @@ class RandomTreeAdversary:
 
     def decide(self, base: Graph, state: AgentState, memory: int):
         rng = random.Random(self.seed * 2654435761 + memory)
-        edges = sorted(base.edges)
+        edges = list(sorted_edges(base))
         rng.shuffle(edges)
+        # Kruskal with an inline union-find (path halving): an edge joining
+        # two components is kept, every other edge is removed.
         parent = list(range(base.node_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        kept = set()
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                kept.add((u, v))
-        return base.edges - frozenset(kept), memory + 1
+        removed = []
+        for e in edges:
+            u, v = e
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                removed.append(e)
+            else:
+                parent[u] = v
+        return frozenset(removed), memory + 1
 
 
 class TowardSourcePolicy:
@@ -279,9 +281,7 @@ class ThetaBlocker:
                 cuts[p_idx] = norm(chain[i], chain[i + 1])
 
         # Keep at least one path fully intact.
-        while cuts and not is_connected(
-            base.node_count, base.edges - frozenset(cuts.values())
-        ):
+        while cuts and not base.is_connected(frozenset(cuts.values())):
             cuts.pop(max(cuts))
         return frozenset(cuts.values()), memory
 

@@ -211,8 +211,9 @@ def connected_removals(g: Graph) -> list[frozenset[Edge]]:
     out = []
     for r in range(most + 1):
         for combo in combinations(edges, r):
-            if is_connected(g.node_count, g.edges - frozenset(combo)):
-                out.append(frozenset(combo))
+            removed = frozenset(combo)
+            if g.is_connected(removed):
+                out.append(removed)
     return out
 
 

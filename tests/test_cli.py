@@ -311,6 +311,25 @@ class TestSimulate:
         assert out == ""
         assert err == f'error: spec is missing "{key}"\n'
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"max_rounds": None}, 'spec "max_rounds" must be an integer, not None'),
+            ({"adversary": 7}, 'spec "adversary" must be a string, not 7'),
+            (["graph", "agents", "adversary", "max_rounds"], "spec must be a JSON object"),
+        ],
+    )
+    def test_spec_file_with_a_wrong_type_is_diagnostic(self, capsys, tmp_path, spec, message):
+        if isinstance(spec, dict):
+            spec = {"graph": "path:5", "agents": "toward_source", "adversary": "passive",
+                    "max_rounds": 50, **spec}
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--spec", str(f))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_no_graph_and_no_spec_is_diagnostic(self, capsys):
         code, out, err = run(capsys, "simulate")
         assert code == 1

@@ -1,5 +1,7 @@
 """Round semantics, rule enforcement, simulation loop, and trace handling."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,21 @@ from dynbroadcast.engine import (
     trace_to_json,
     validate_removal,
 )
-from dynbroadcast.graph import GraphError, make_complete, make_path, make_ring, make_theta
-from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
+from dynbroadcast.graph import (
+    GraphError,
+    make_complete,
+    make_grid,
+    make_path,
+    make_ring,
+    make_theta,
+)
+from dynbroadcast.policies import (
+    GreedyPathPolicy,
+    PassiveAdversary,
+    RandomTreeAdversary,
+    TowardSourcePolicy,
+)
+from dynbroadcast.solver import model_check_policy
 
 
 def _check_contraction_per_round(trace):
@@ -277,6 +292,29 @@ class TestTraces:
         b = trace_to_json(self.make_trace())
         assert a == b
 
+    def test_greedy_path_on_grid_against_random_trees_is_pinned(self):
+        # The benchmark's commonest round: greedy paths against random
+        # spanning trees on grid(5,5). Three 500-round games; the digest of
+        # their trace JSON pins every removal, move and byte of output.
+        g = make_grid(5, 5)
+        digest = hashlib.sha256()
+        for ignorant, source, seed in (
+            ([12, 0, 18], 2, 413191),
+            ([5, 4, 9], 2, 990827),
+            ([15, 23, 7], 17, 979314),
+        ):
+            trace = simulate(
+                g, initial_state(ignorant, [source]), GreedyPathPolicy(),
+                RandomTreeAdversary(seed), max_rounds=500,
+            )
+            assert trace.outcome.kind == "round_limit_reached"
+            text = trace_to_json(trace)
+            check_trace(trace_from_json(text))
+            digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "921814720f597214504e00b674cf34cd76a81616048c4b915dca91e73fa13431"
+        )
+
 
 class TestPairContraction:
     @given(st.integers(3, 7), st.integers(0, 100))
@@ -362,3 +400,34 @@ class TestRemovalErrors:
     def test_validate_removal_rejects_non_edge(self):
         with pytest.raises(GraphError):
             validate_removal(make_ring(5), [(0, 2)])
+
+
+class _FloatTarget:
+    """Sends the ignorant agent to node 1, written as the float 1.0."""
+
+    role = "agents"
+    name = "float_target"
+
+    def initial_memory(self, base, state):
+        return None
+
+    def decide(self, surviving, state, memory):
+        return (1.0,) + state.positions[1:], None
+
+
+class TestNonIntegerTargets:
+    # 1.0 == 1, so a membership test would take it for node 1 and the next
+    # round would index a tuple with a float. Both a step (from 0) and a
+    # stay (from 1) must be refused in the round the target is returned.
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_simulate_rejects_float_target(self, start):
+        with pytest.raises(RuleViolation, match=r"round 1: agent 0 target 1\.0 is not a node"):
+            simulate(
+                make_path(5), initial_state([start], [4]), _FloatTarget(), PassiveAdversary(),
+                max_rounds=10,
+            )
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_model_check_rejects_float_target(self, start):
+        with pytest.raises(RuleViolation, match=r"agent 0 target 1\.0 is not a node"):
+            model_check_policy(make_path(5), initial_state([start], [4]), _FloatTarget())

@@ -4,10 +4,12 @@ import itertools
 import json
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynbroadcast.engine import RuleViolation, _surviving_graph, validate_removal
 from dynbroadcast.graph import (
     MAX_AUTOMORPHISMS,
     Graph,
@@ -308,6 +310,70 @@ class TestSurgery:
         contracted, _ = contract_cut_edges(g)
         assert contracted.node_count == 1
         assert contracted.edge_count == 0
+
+
+@st.composite
+def graphs_with_removals(draw):
+    """A connected graph on at most 7 nodes (a random tree plus random extra
+    edges) and a random subset of its edges."""
+    n = draw(st.integers(2, 7))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, frozenset(tree | draw(st.sets(st.sampled_from(pairs)))))
+    return g, frozenset(draw(st.sets(st.sampled_from(sorted(g.edges)))))
+
+
+class TestSurvivor:
+    @given(graphs_with_removals())
+    @settings(max_examples=300, deadline=None)
+    def test_survivor_matches_networkx_and_a_fresh_graph(self, case):
+        g, removed = case
+        h = nx.Graph(list(g.edges - removed))
+        h.add_nodes_from(g.nodes)
+        connected = nx.is_connected(h)
+        assert g.is_connected(removed) == connected
+        assert validate_removal(g, removed) == connected
+        survivor = g.without(removed)
+        fresh = Graph(g.node_count, g.edges - removed)
+        assert survivor == fresh
+        assert survivor.adjacency() == fresh.adjacency()
+        assert survivor.neighbour_masks() == fresh.neighbour_masks()
+        assert survivor.is_connected() == connected
+        # Either orientation names the same edge, as a list or a frozenset.
+        flipped = [(v, u) for u, v in removed]
+        assert g.without(flipped) == g.without(frozenset(flipped)) == survivor
+        assert g.is_connected(flipped) == connected
+        if connected:
+            assert _surviving_graph(g, flipped) == survivor
+        else:
+            with pytest.raises(RuleViolation, match="disconnects"):
+                _surviving_graph(g, removed)
+
+    @given(graphs_with_removals(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_missing_edge_or_self_loop_is_a_graph_error(self, case, data):
+        g, removed = case
+        strangers = [(u, v) for u in g.nodes for v in g.nodes if u != v]
+        strangers = [(u, v) for u, v in strangers if (min(u, v), max(u, v)) not in g.edges]
+        bad = data.draw(st.sampled_from(strangers + [(v, v) for v in g.nodes]))
+        for form in (removed | {bad}, [*removed, bad]):
+            with pytest.raises(GraphError):
+                g.without(form)
+            with pytest.raises(GraphError):
+                g.is_connected(form)
+            with pytest.raises(GraphError):
+                _surviving_graph(g, form)
+
+
+    @pytest.mark.parametrize("form", [frozenset, list])
+    def test_float_endpoint_is_a_graph_error(self, form):
+        # (1.0, 2) == (1, 2), so it passes the subset test, but 1.0 cannot
+        # index the neighbour masks.
+        g = make_path(4)
+        with pytest.raises(GraphError, match="must name nodes by int"):
+            g.without(form([(1.0, 2)]))
+        with pytest.raises(GraphError, match="must name nodes by int"):
+            g.is_connected(form([(1.0, 2)]))
 
 
 class TestAdjacencyMemo:
