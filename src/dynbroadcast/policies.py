@@ -13,9 +13,14 @@ are all a move can use. An agent policy whose reply (targets and memory)
 depends on the surviving graph only through that menu declares the class
 attribute `local = True`; `solver.model_check_policy` then calls it once per
 distinct menu rather than once per connected removal. The theta strategy,
-`solver.SolvedAgentPolicy` and `CliquePolicy` are local. `TowardSourcePolicy`,
-`GreedyPathPolicy` and `LollipopPolicy` read distances over the whole
+`solver.SolvedAgentPolicy`, `CliquePolicy` and `LollipopPolicy` are local.
+`TowardSourcePolicy` and `GreedyPathPolicy` read distances over the whole
 survivor, so they are not; a policy without the attribute is not local.
+
+The theta strategy plays exactly one ignorant agent per internal path and
+one source, the count of the paper's constructive upper bound; it is
+model-checked from every distinct-node start on theta(2,2) and theta(3,3)
+and refuses other counts.
 """
 
 from __future__ import annotations
@@ -533,25 +538,52 @@ class GridFlipflopAdversary:
         return base.edges - kept, 1 - memory
 
 
-# -- theta broadcast: the opening phase and the five-phase algorithm -----------------
+# -- theta broadcast: the opening phase and the phases it reaches --------------------
 
-_PRE, _P1, _P2, _P3, _P4, _P5 = "pre", "1", "2", "3", "4", "5"
+# Phases 2 and 3 of the five-phase algorithm never run under this policy's
+# contract (see its docstring), so they have no label.
+_PRE, _P1, _P4, _P5 = "pre", "1", "4", "5"
 
 
 class ThetaBroadcastPolicy:
-    """Winning policy for a generalized theta graph with at least as many
-    ignorant agents as paths.
+    """Winning policy for a generalized theta graph with exactly one ignorant
+    agent per internal path and one source.
 
-    The policy keeps one tracked ignorant agent identified with each path,
-    then repeatedly engineers a meeting: phases funnel source agents to the
-    poles, from which two sources can sweep a single path end-to-end; the
-    adversary can remove only one edge per path per round, so it must concede
-    either the sweep or a conversion elsewhere. Extra ignorant agents beyond
-    the number of paths stand still until the tracked subset is exhausted and
-    refreshed.
+    Each ignorant agent is identified with a path. The policy repeatedly
+    engineers a meeting: phases funnel sources to the poles, from which two
+    sources can sweep a single path end-to-end; the adversary can remove
+    only one edge per path per round, so it must concede either the sweep or
+    a conversion elsewhere. Model-checked against every connected removal
+    from every distinct-node start of theta(2,2) and theta(3,3). With more
+    ignorant agents or more sources it loses from starts that `solvable`
+    wins (on theta(3,3) with three ignorant agents, from 272 of 280), so
+    `initial_memory` refuses them.
 
-    Memory layout (hashable): (theta layout, phase, tracked ids, pole
-    identification pairs, phase data, source count at the previous round).
+    Under that contract the opening phase (`pre`) and phases 1, 4 and 5 are
+    the only ones that run:
+
+    1. With one source, `_classify` can only give `pre`: phases 1, 4 and 5
+       each need two sources.
+    2. A conversion leaves the new source on an old source's node, a site
+       with two sources, so the phase is re-chosen as 1, 4 or 5. Phase 1
+       moves only the two sources of its site and, short of a conversion,
+       ends when one of them leaves it: onto a path from a pole site, or
+       onto a pole from a path site. Either way a pole and a path, or both
+       poles, then hold a source: phase 4 or 5. Phase 4 lasts until phase
+       5, and phase 5 until a conversion. So after the first conversion no
+       phase is `pre`, and phase 3 (sources on two paths, none on a pole,
+       no two sharing a path) is never chosen.
+    3. Two sources mean an ignorant agent has converted, so at most
+       `n_paths - 1` paths hold an ignorant agent and `empty_paths()` is
+       never empty from then on. Phase 2 (a pole source and a path source
+       with no empty path) is never chosen, and phase 4 always has an
+       empty path for its descenders.
+    4. Every ignorant agent plays from the start, so no subset of them is
+       ever used up and replaced; once none is left the game is solved, and
+       neither `simulate` nor the model checker asks for a move there.
+
+    Memory layout (hashable): (theta layout, phase, pole identification
+    pairs, phase data, source count at the previous round).
     """
 
     role = "agents"
@@ -565,62 +597,46 @@ class ThetaBroadcastPolicy:
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
         layout = _require_theta(base)
-        k_ignorant = sum(1 for s in state.is_source if not s)
+        srcs = state.is_source.count(True)
+        k_ignorant = state.total - srcs
         if self.k is not None and self.k != k_ignorant:
             raise ValueError(f"policy built for k={self.k}, state has {k_ignorant}")
-        if k_ignorant < layout.n_paths:
-            raise ValueError("needs at least one ignorant agent per path")
-        tracked = self._fresh_tracked(state, layout)
-        ident = self._initial_ident(state, layout, tracked)
-        srcs = sum(1 for s in state.is_source if s)
-        return (layout, None, tracked, ident, (), srcs)
+        if k_ignorant != layout.n_paths or srcs != 1:
+            raise ValueError(
+                f"theta_broadcast needs exactly one ignorant agent per path "
+                f"({layout.n_paths}) and one source, not {k_ignorant} and {srcs}"
+            )
+        return (layout, None, self._initial_ident(state, layout), (), srcs)
 
     @staticmethod
-    def _fresh_tracked(state: AgentState, layout: ThetaLayout) -> tuple[int, ...]:
-        ignorant_ids = [i for i, s in enumerate(state.is_source) if not s]
-        return tuple(ignorant_ids[: layout.n_paths])
-
-    @staticmethod
-    def _initial_ident(state, layout, tracked) -> tuple[tuple[int, int], ...]:
-        """Assign each pole-resident agent a path: tracked ignorant agents get
-        distinct unclaimed paths first, everything else path 0."""
+    def _initial_ident(state, layout) -> tuple[tuple[int, int], ...]:
+        """Assign each pole-resident agent a path: ignorant agents get
+        distinct unclaimed paths first, the source path 0."""
         claimed = {
-            layout.path_of(state.positions[a])
-            for a in tracked
-            if not layout.is_pole(state.positions[a])
+            layout.path_of(v)
+            for v, s in zip(state.positions, state.is_source)
+            if not s and not layout.is_pole(v)
         }
         ident = []
-        for a in range(len(state.positions)):
-            if not layout.is_pole(state.positions[a]):
+        for a, (v, s) in enumerate(zip(state.positions, state.is_source)):
+            if not layout.is_pole(v):
                 continue
-            if a in tracked:
+            if s:
+                p = 0
+            else:
                 free = [p for p in range(layout.n_paths) if p not in claimed]
                 p = free[0] if free else 0
                 claimed.add(p)
-            else:
-                p = 0
             ident.append((a, p))
         return tuple(ident)
 
     # -- per-round bookkeeping ---------------------------------------------------------
 
     def decide(self, surviving: Graph, state: AgentState, memory):
-        layout, phase, tracked, ident_pairs, data, prev_srcs = memory
+        layout, phase, ident_pairs, data, prev_srcs = memory
         ident = dict(ident_pairs)
         srcs_now = state.is_source.count(True)
-
-        # Refresh the tracked subset once every member has converted.
-        if all(state.is_source[a] for a in tracked):
-            remaining = [i for i, s in enumerate(state.is_source) if not s]
-            if remaining:
-                tracked = tuple(remaining[: layout.n_paths])
-                phase = None
-            else:
-                return state.positions, (
-                    layout, phase, tracked, tuple(sorted(ident.items())), data, srcs_now
-                )
-
-        ctx = _ThetaContext(layout, state, tracked, ident)
+        ctx = _ThetaContext(layout, state, ident)
 
         # A conversion re-opens phase selection; so does phase completion.
         cls = self._classify(ctx)
@@ -639,7 +655,7 @@ class ThetaBroadcastPolicy:
                     ident.setdefault(a, loc[0])
             elif a in ident:
                 del ident[a]
-        new_mem = (layout, phase, tracked, tuple(sorted(ident.items())), data, srcs_now)
+        new_mem = (layout, phase, tuple(sorted(ident.items())), data, srcs_now)
         return tuple(full), new_mem
 
     # -- phase selection ----------------------------------------------------------------
@@ -648,18 +664,15 @@ class ThetaBroadcastPolicy:
         if ctx.sources_at(ctx.layout.north) and ctx.sources_at(ctx.layout.south):
             return _P5
         if ctx.pole_sources() and ctx.internal_sources():
-            return _P4 if ctx.empty_paths() else _P2
+            return _P4
         if ctx.double_source_site() is not None:
             return _P1
-        if ctx.phase3_ready():
-            return _P3
         return _PRE
 
     def _check_exit(self, ctx, cls, phase, data):
         """Move to a new phase when the running one finished or lost its
         precondition; otherwise persist (conversions reset the phase before
         this is consulted). `cls` is `_classify(ctx)`."""
-        layout = ctx.layout
         if phase == _P5:
             # Persist: once the two sweepers leave the poles they are no
             # longer classified as phase 5, but the pincer argument (the
@@ -670,24 +683,6 @@ class ThetaBroadcastPolicy:
             # `_classify` gives _P1 exactly when a double-source site exists
             # and no case before it matches, so this is phase 1's exit too.
             return (cls, ()) if cls != phase else (phase, data)
-        if phase == _P2:
-            if cls == _P5:
-                return cls, ()
-            if ctx.phase3_ready():
-                return _P3, ()
-            if data:
-                x = layout.other_pole(data[0])
-                if not ctx.sources_at(x) and not ctx.internal_sources():
-                    return cls, ()
-            if ctx.pole_sources() and ctx.internal_sources() and cls in (_P2, _P4):
-                y = data[0] if data else None
-                if any(layout.is_pole(v) and v != y for v in ctx.source_nodes()):
-                    return cls, ()
-            return phase, data
-        if phase == _P3:
-            if cls in (_P2, _P4, _P5):
-                return cls, ()
-            return phase, data
         if phase == _P4 and cls == _P5:
             # Phase 4 starts with sources present and sources never go away,
             # so only phase 5 ends it.
@@ -703,15 +698,15 @@ class ThetaBroadcastPolicy:
         # Once the sweep has started, keep sweeping toward the same pole; a
         # source reaching that pole simply waits there for the chasing agent.
         if data and data[0] == "sweep":
-            for a in ctx.movers():
+            for a in range(state.total):
                 targets[a] = self._step(surviving, ctx, a, data[1])
             return targets, data
 
-        # Split any path holding two or more tracked ignorant agents.
+        # Split any path holding two or more ignorant agents.
         crowded = ctx.crowded_paths()
         if crowded:
             for p_idx in crowded:
-                members = ctx.tracked_on_path(p_idx)
+                members = ctx.ignorant_on_path(p_idx)
                 members.sort(key=lambda a: (ctx.coord_of(a, p_idx), a))
                 a, b = members[0], members[1]
                 targets[a] = self._step(surviving, ctx, a, layout.north)
@@ -729,10 +724,10 @@ class ThetaBroadcastPolicy:
             return targets, ()
 
         # Sandwich sweep: orient so the lowest source sits between the virtual
-        # north pole and its path's tracked ignorant agent, then push everyone
-        # toward that pole.
+        # north pole and its path's ignorant agent, then push everyone toward
+        # that pole.
         virt_north = self._sandwich_pole(ctx)
-        for a in ctx.movers():
+        for a in range(state.total):
             targets[a] = self._step(surviving, ctx, a, virt_north)
         return targets, ("sweep", virt_north)
 
@@ -740,11 +735,7 @@ class ThetaBroadcastPolicy:
         layout = ctx.layout
         for s in ctx.internal_sources():
             p_idx = layout.path_of(ctx.state.positions[s])
-            mates = [
-                a
-                for a in ctx.tracked_ignorant()
-                if ctx.ident_path(a) == p_idx
-            ]
+            mates = [a for a in ctx.ignorant() if ctx.ident_path(a) == p_idx]
             if mates:
                 d = min(mates)
                 cs = ctx.coord_of(s, p_idx)
@@ -765,57 +756,6 @@ class ThetaBroadcastPolicy:
             a, b = sorted(pair, key=lambda x: (ctx.coord_of(x, where), x))
             targets[a] = self._step(surviving, ctx, a, layout.north, path=where)
             targets[b] = self._step(surviving, ctx, b, layout.south, path=where)
-        return targets, data
-
-    def _run_phase2(self, surviving, ctx, data):
-        layout = ctx.layout
-        if not data:
-            x = next(
-                (v for v in (layout.north, layout.south) if ctx.sources_at(v)),
-                layout.north,
-            )
-            data = (layout.other_pole(x),)
-        y = data[0]
-        x = layout.other_pole(y)
-        targets: dict[int, int] = {}
-        for a in ctx.movers():
-            pos = ctx.state.positions[a]
-            if pos == x and ctx.state.is_source[a]:
-                targets[a] = self._enter_lowest_path(
-                    surviving, ctx, a, prefer_ignorant=True
-                )
-            else:
-                targets[a] = self._step(surviving, ctx, a, y)
-        return targets, data
-
-    def _run_phase3(self, surviving, ctx, data):
-        layout = ctx.layout
-        if not data:
-            y = next(
-                v
-                for v in (layout.north, layout.south)
-                if len(ctx.tracked_at(v)) >= 2
-            )
-            ds = sorted(ctx.tracked_at(y))[:2]
-            source_paths = []
-            for s in ctx.internal_sources():
-                p = layout.path_of(ctx.state.positions[s])
-                if p not in source_paths:
-                    source_paths.append(p)
-                if len(source_paths) == 2:
-                    break
-            assign = tuple(zip(ds, sorted(source_paths)))
-            data = (y, assign)
-        y, assign = data
-        x = layout.other_pole(y)
-        assigned = dict(assign)
-        targets: dict[int, int] = {}
-        for a in ctx.movers():
-            if a in assigned:
-                ctx.ident[a] = assigned[a]
-                targets[a] = self._step(surviving, ctx, a, x, path=assigned[a])
-            else:
-                targets[a] = self._step(surviving, ctx, a, x)
         return targets, data
 
     def _run_phase4(self, surviving, ctx, data):
@@ -839,7 +779,7 @@ class ThetaBroadcastPolicy:
                 if split:
                     return split, (x, ())
 
-            # Cleanup 2: need a source sandwiched between the x pole and a tracked
+            # Cleanup 2: need a source sandwiched between the x pole and an
             # ignorant agent on its path.
             if not self._sandwiched_exists(ctx, x):
                 squeeze = self._squeeze(surviving, ctx, x)
@@ -849,9 +789,9 @@ class ThetaBroadcastPolicy:
                 if split:
                     return split, (x, ())
 
-            # Pole sources walk distinct empty-ish paths toward y.
+            # Pole sources walk distinct empty paths toward y.
             pool = sorted(x_sources)
-            for p in empty or range(layout.n_paths):
+            for p in empty:
                 on_p = ctx.sources_on_path(p)
                 if on_p:
                     descenders[on_p[0]] = p
@@ -861,7 +801,7 @@ class ThetaBroadcastPolicy:
 
         # Main step: descenders cross toward y, everyone else sweeps toward x.
         targets: dict[int, int] = {}
-        for a in ctx.movers():
+        for a in range(state.total):
             if a in descenders and state.is_source[a]:
                 targets[a] = self._step(surviving, ctx, a, y, path=descenders[a])
             else:
@@ -873,7 +813,7 @@ class ThetaBroadcastPolicy:
         for s in ctx.internal_sources():
             p = layout.path_of(ctx.state.positions[s])
             cs = ctx.coord_of(s, p)
-            for a in ctx.tracked_ignorant():
+            for a in ctx.ignorant():
                 if ctx.ident_path(a) == p:
                     ca = ctx.coord_of(a, p)
                     if (x == layout.north and ca > cs) or (
@@ -891,7 +831,7 @@ class ThetaBroadcastPolicy:
             p = layout.path_of(ctx.state.positions[s])
             cs = ctx.coord_of(s, p)
             cx = 0 if x == layout.north else len(layout.chains[p]) - 1
-            for a in ctx.tracked_ignorant():
+            for a in ctx.ignorant():
                 if ctx.ident_path(a) != p:
                     continue
                 ca = ctx.coord_of(a, p)
@@ -913,10 +853,8 @@ class ThetaBroadcastPolicy:
         for p_idx in range(layout.n_paths):
             members = [
                 a
-                for a in range(len(ctx.state.positions))
-                if ctx.ident_path(a) == p_idx
-                and ctx.state.positions[a] != exclude_pole
-                and (a in ctx.tracked or ctx.state.is_source[a])
+                for a in range(ctx.state.total)
+                if ctx.ident_path(a) == p_idx and ctx.state.positions[a] != exclude_pole
             ]
             if len(members) >= 2:
                 members.sort(key=lambda a: (ctx.coord_of(a, p_idx), a))
@@ -935,7 +873,7 @@ class ThetaBroadcastPolicy:
                 if any(
                     ctx.ident_path(a) == p_idx
                     and not layout.is_pole(ctx.state.positions[a])
-                    for a in ctx.tracked_ignorant()
+                    for a in ctx.ignorant()
                 ):
                     target = p_idx
                     break
@@ -966,20 +904,12 @@ class ThetaBroadcastPolicy:
             return pos
         return layout.step_toward(surviving, pos, p_idx, pole)
 
-    def _enter_lowest_path(self, surviving, ctx, a, prefer_ignorant=False):
-        """From a pole, step onto the lowest-index path (preferring paths that
-        hold a tracked ignorant agent) whose first edge survives."""
+    def _enter_lowest_path(self, surviving, ctx, a):
+        """From a pole, step onto the lowest-index path whose first edge
+        survives."""
         layout = ctx.layout
         pos = ctx.state.positions[a]
-        candidates = list(range(layout.n_paths))
-        if prefer_ignorant:
-            with_ig = [
-                p
-                for p in candidates
-                if any(ctx.ident_path(d) == p for d in ctx.tracked_ignorant())
-            ]
-            candidates = with_ig + [p for p in candidates if p not in with_ig]
-        for p_idx in candidates:
+        for p_idx in range(layout.n_paths):
             chain = layout.chains[p_idx]
             nxt = chain[1] if pos == chain[0] else chain[-2]
             if surviving.has_edge(pos, nxt):
@@ -990,12 +920,8 @@ class ThetaBroadcastPolicy:
     def _reassign_pole_arrivals(self, ctx, targets):
         layout = ctx.layout
         for a, t in list(targets.items()):
-            if layout.is_pole(t) and a in ctx.tracked and not ctx.state.is_source[a]:
-                taken = {
-                    ctx.ident_path(b)
-                    for b in ctx.tracked_ignorant()
-                    if b != a
-                }
+            if layout.is_pole(t) and not ctx.state.is_source[a]:
+                taken = {ctx.ident_path(b) for b in ctx.ignorant() if b != a}
                 free = [p for p in range(layout.n_paths) if p not in taken]
                 if free:
                     ctx.ident[a] = free[0]
@@ -1003,8 +929,6 @@ class ThetaBroadcastPolicy:
     _HANDLERS = {
         _PRE: _run_pre,
         _P1: _run_phase1,
-        _P2: _run_phase2,
-        _P3: _run_phase3,
         _P4: _run_phase4,
         _P5: _run_phase5,
     }
@@ -1014,22 +938,21 @@ class _ThetaContext:
     """Read-mostly view of one round's configuration for the theta policy.
 
     Construction indexes the round once: each agent's path, the sources by
-    node and by path, the pole sources, the tracked ignorant agents and the
-    movers. Only `ident` changes during a round (the phase handlers write
-    it), so everything that reads it goes through `ident_path`.
+    node and by path, the pole sources and the ignorant agents. Only `ident`
+    changes during a round (the phase handlers write it), so everything that
+    reads it goes through `ident_path`.
     """
 
-    def __init__(self, layout: ThetaLayout, state: AgentState, tracked, ident):
+    def __init__(self, layout: ThetaLayout, state: AgentState, ident):
         self.layout = layout
         self.state = state
-        self.tracked = tracked
         self.ident = ident  # pole-resident agent id -> path index (mutable)
         where = layout.where
         path: list[int | None] = []  # each agent's path index; None on a pole
         sources: dict[int, list[int]] = {}  # node -> the sources there
         internal: list[int] = []
         internal_by_path: dict[int, list[int]] = {}
-        movers: list[int] = []
+        ignorant: list[int] = []
         for a, (v, s) in enumerate(zip(state.positions, state.is_source)):
             loc = where.get(v)
             p = None if loc is None else loc[0]
@@ -1039,13 +962,11 @@ class _ThetaContext:
                 if p is not None:
                     internal.append(a)
                     internal_by_path.setdefault(p, []).append(a)
-                movers.append(a)
-            elif a in tracked:
-                movers.append(a)
-        self._path, self._sources, self._movers = path, sources, movers
+            else:
+                ignorant.append(a)
+        self._path, self._sources, self._ignorant = path, sources, ignorant
         self._internal, self._internal_by_path = internal, internal_by_path
         self._pole_sources = sorted(sources.get(layout.north, []) + sources.get(layout.south, []))
-        self._tracked_ignorant = [a for a in tracked if not state.is_source[a]]
 
     def ident_path(self, a: int) -> int | None:
         p = self._path[a]
@@ -1057,17 +978,11 @@ class _ThetaContext:
     # The accessors below hand out the index's own lists; callers copy
     # before changing one.
 
-    def source_nodes(self):
-        return self._sources.keys()
-
     def sources_at(self, node: int) -> list[int]:
         return self._sources.get(node, [])
 
-    def tracked_at(self, node: int) -> list[int]:
-        return [a for a in self._tracked_ignorant if self.state.positions[a] == node]
-
-    def tracked_ignorant(self) -> list[int]:
-        return self._tracked_ignorant
+    def ignorant(self) -> list[int]:
+        return self._ignorant
 
     def pole_sources(self) -> list[int]:
         return self._pole_sources
@@ -1079,26 +994,22 @@ class _ThetaContext:
         """The sources on the internal nodes of one path."""
         return self._internal_by_path.get(p_idx, [])
 
-    def movers(self) -> list[int]:
-        """Tracked ignorant agents plus every source."""
-        return self._movers
-
     def crowded_paths(self) -> list[int]:
         counts: dict[int, int] = {}
-        for a in self._tracked_ignorant:
+        for a in self._ignorant:
             p = self.ident_path(a)
             if p is not None:
                 counts[p] = counts.get(p, 0) + 1
         return sorted(p for p, c in counts.items() if c >= 2)
 
-    def tracked_on_path(self, p_idx: int) -> list[int]:
-        return [a for a in self._tracked_ignorant if self.ident_path(a) == p_idx]
+    def ignorant_on_path(self, p_idx: int) -> list[int]:
+        return [a for a in self._ignorant if self.ident_path(a) == p_idx]
 
     def empty_paths(self) -> list[int]:
-        """Paths with no identified tracked ignorant agent. A source already
+        """Paths with no identified ignorant agent. A source already
         standing on such a path does not block it: that source can itself
         cross it to the far pole."""
-        used = {self.ident_path(a) for a in self._tracked_ignorant}
+        used = {self.ident_path(a) for a in self._ignorant}
         return [p for p in range(self.layout.n_paths) if p not in used]
 
     def double_source_site(self):
@@ -1113,12 +1024,6 @@ class _ThetaContext:
             if len(here) >= 2:
                 return ("path", p, tuple(here[:2]))
         return None
-
-    def phase3_ready(self) -> bool:
-        return len(self._internal_by_path) >= 2 and any(
-            len(self.tracked_at(pole)) >= 2
-            for pole in (self.layout.north, self.layout.south)
-        )
 
 
 # -- solver-extracted clique and lollipop policies -------------------------------------
@@ -1160,9 +1065,17 @@ class LollipopPolicy:
     """First marches every path-resident agent into the clique (path edges are
     bridges, so those moves can never be blocked), then plays the extracted
     clique strategy on the clique subgraph. Memory is (clique attractor,
-    clique nodes, junction)."""
+    clique nodes, junction).
+
+    Local. Path edges are bridges, so every survivor keeps them all, and the
+    distances from the junction to path nodes are those of the path: the
+    walk toward the junction reads no removable edge. The clique phase runs
+    with every agent in the clique and hands the local `SolvedAgentPolicy`
+    the surviving clique edges, which it reads only at occupied nodes.
+    """
 
     role = "agents"
+    local = True
 
     def __init__(self, budget_states: int = solver.DEFAULT_BUDGET_STATES):
         self.budget_states = budget_states

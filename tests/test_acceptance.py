@@ -167,7 +167,7 @@ def test_07_density_closed_forms():
             if ell * d + 2 > 200:
                 continue
             assert edge_density(make_theta([d] * ell)) == 1 + Fraction(ell - 2, ell * d + 2)
-    # Density family: f paths of (n-2)/f internal nodes, density 1 + (l-2)/n
+    # Density family: (n-2)/f paths of f internal nodes, density 1 + (l-2)/n
     # where l = (n-2)/f counts the paths.
     for n in range(4, 201):
         for f in range(1, 8):

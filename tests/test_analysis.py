@@ -270,6 +270,11 @@ class TestBoundReport:
             assert k_star == 3
             assert rep.by_kind("clique_star_exact") is None
 
+    def test_density_family_rule(self):
+        rep = bound_report(make_density_family(11, 3))  # 3 paths of 3 internal nodes
+        assert rep.by_kind("theta_exact").value == 3
+        assert rep.by_kind("density_family_exact").value == 3
+
     def test_lollipop_rule(self):
         assert bound_report(make_lollipop(2, 5)).exact == 2
         assert bound_report(make_lollipop(3, 2)).exact == 3

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dynbroadcast
-from dynbroadcast.cli import main
+from dynbroadcast.cli import main, parse_family
 from dynbroadcast.graph import Graph, graph_to_json, make_path, make_ring, make_theta
 
 # sha256 of every trace file `verify all --output DIR` writes. Any change to
@@ -51,6 +51,18 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "theta", "0")
         assert code == 1
         assert err.strip()
+
+    @pytest.mark.parametrize(
+        "kind, keyed, plain",
+        [
+            ("grid", ["rows=3", "cols=4"], ["3,4"]),
+            ("clique_star", ["n=7", "lambda=2"], ["7", "2"]),
+            ("density_family", ["n=11", "f=3"], ["11", "3"]),
+        ],
+    )
+    def test_key_value_form_gives_the_plain_graph(self, kind, keyed, plain):
+        g, want = parse_family(kind, keyed), parse_family(kind, plain)
+        assert (g, g.family) == (want, want.family)
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "generate", "moebius", "5")
@@ -243,6 +255,16 @@ class TestSimulate:
         assert code == 0 and "outcome=solved" in out
         initial = json.loads(path.read_text())["initial"]
         assert initial["is_source"] == [False, True, True]
+
+    def test_theta_strategy_refuses_an_extra_ignorant_agent(self, capsys):
+        argv = ["simulate", "theta:3,3", "--agents", "theta_broadcast", "--k", "3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: theta_broadcast needs exactly one ignorant agent per path (2) "
+            "and one source, not 3 and 1\n"
+        )
 
     def test_explicit_placement_keeps_the_requested_counts(self, capsys):
         argv = ["simulate", "path:5", "--placement", "ignorant=1+2,source=0"]

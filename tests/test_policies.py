@@ -137,6 +137,35 @@ class TestThetaBroadcast:
         assert check_summary(res) == check_summary(ref) == ("agents", rounds, states)
         assert res.decide_calls < ref.decide_calls
 
+    @pytest.mark.parametrize(
+        "ds, starts, rounds", [([2, 2], 60, 12), ([3, 3], 168, 18)], ids=["theta22", "theta33"]
+    )
+    def test_wins_from_every_start(self, ds, starts, rounds):
+        # One ignorant agent per path and one source on any distinct nodes,
+        # against the optimal adversary: the agents win from every start,
+        # within `rounds`.
+        g = make_theta(ds)
+        results = []
+        for source in range(g.node_count):
+            others = [v for v in range(g.node_count) if v != source]
+            for ignorant in itertools.combinations(others, len(ds)):
+                state = initial_state(ignorant, [source])
+                results.append(model_check_policy(g, state, ThetaBroadcastPolicy(k=len(ds))))
+        assert len(results) == starts
+        assert {r.winner for r in results} == {"agents"}
+        assert max(r.optimal_rounds for r in results) == rounds
+
+    @pytest.mark.parametrize(
+        "ignorant, sources", [(3, 1), (2, 2)], ids=["extra_ignorant", "two_sources"]
+    )
+    def test_rejects_other_counts(self, ignorant, sources):
+        # With these counts on theta(3,3) the strategy loses from some starts
+        # (272 of 280, and 260 of 420) that the agents win.
+        g = make_theta([3, 3])
+        state = initial_state(range(ignorant), range(ignorant, ignorant + sources))
+        with pytest.raises(ValueError, match="one ignorant agent per path"):
+            ThetaBroadcastPolicy(k=ignorant).initial_memory(g, state)
+
     def test_initial_memories_on_one_graph_are_equal(self):
         # The layout in the memory is memoised on the graph, so two starts
         # of one game share their memory.
@@ -428,19 +457,33 @@ def _clique_policy_complete4():
     return make_complete(4), initial_state([1, 2], [0]), CliquePolicy()
 
 
+def _lollipop_policy_lollipop22():
+    return make_lollipop(2, 2), initial_state([0, 3], [1]), LollipopPolicy()
+
+
 LOCALITY_CASES = [
     pytest.param(lambda: (*theta_start([3, 3]), ThetaBroadcastPolicy(k=2)), id="theta33"),
     pytest.param(lambda: (*theta_start([4, 4]), ThetaBroadcastPolicy(k=2)), id="theta44"),
     pytest.param(lambda: (*theta_start([2, 2, 2]), ThetaBroadcastPolicy(k=3)), id="theta222"),
     pytest.param(_solved_agent_theta44, id="solved_agent-theta44"),
     pytest.param(_clique_policy_complete4, id="clique_policy-complete4"),
+    pytest.param(_lollipop_policy_lollipop22, id="lollipop_policy-lollipop22"),
+    pytest.param(
+        lambda: (make_lollipop(3, 2), initial_state([0, 4], [1]), LollipopPolicy()),
+        id="lollipop_policy-lollipop32",
+    ),
+    pytest.param(
+        # An agent on the path: the walk toward the junction.
+        lambda: (make_lollipop(2, 2), initial_state([0, 5], [1]), LollipopPolicy()),
+        id="lollipop_policy-lollipop22-walk",
+    ),
     pytest.param(
         lambda: (*theta_start([3, 3], k=1), TowardSourcePolicy()), id="toward_source-theta33"
     ),
 ]
 
 # The local policy classes that LOCALITY_CASES covers.
-LOCAL_POLICIES = {ThetaBroadcastPolicy, SolvedAgentPolicy, CliquePolicy}
+LOCAL_POLICIES = {ThetaBroadcastPolicy, SolvedAgentPolicy, CliquePolicy, LollipopPolicy}
 
 
 class TestLocality:
@@ -467,8 +510,12 @@ class TestLocality:
 
     @pytest.mark.parametrize(
         "case, calls",
-        [(_solved_agent_theta44, (10, 122, 439, 792)), (_clique_policy_complete4, (3, 32, 362, 418))],
-        ids=["solved_agent-theta44", "clique_policy-complete4"],
+        [
+            (_solved_agent_theta44, (10, 122, 439, 792)),
+            (_clique_policy_complete4, (3, 32, 362, 418)),
+            (_lollipop_policy_lollipop22, (3, 37, 400, 456)),
+        ],
+        ids=["solved_agent-theta44", "clique_policy-complete4", "lollipop_policy-lollipop22"],
     )
     def test_local_check_equals_its_non_local_twin(self, case, calls):
         # Same answers; the local check asks once per distinct menu, and each
