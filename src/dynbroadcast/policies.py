@@ -208,7 +208,26 @@ class GreedyPathPolicy:
 class ThetaBlocker:
     """Theta-graph adversary for fewer ignorant agents than paths: keeps every
     ignorant agent either boxed away from the poles or cut off from any source
-    within striking distance, spending at most one edge per path."""
+    within striking distance, spending at most one edge per path.
+
+    It is a lower-bound witness only where model-checked. From its own
+    `place`, wherever `solver.solvable` is False, it wins on every 2-path
+    theta and on every 3-path theta whose paths all have at least 2 internal
+    nodes (path lengths up to 4). Outside those it can lose where `solvable`
+    is False: to 1 ignorant agent on theta(1,1,2), to 2 on theta(1,2,2) and
+    to 3 on theta(2,2,2,2). The solver carries the theta lower bound.
+
+    The removal keeps the graph connected without walking it. Every cut is a
+    chain edge: the conversion guard cuts the edge from an ignorant agent
+    toward a nearer source, which lies on the agent's path, or on the
+    neighbour's path when the agent is at a pole (every path has an internal
+    node, so no edge joins the poles); the pole guard cuts along a chain. So
+    `cuts` holds at most one chain edge per path. A theta minus such cuts is
+    connected iff some path is uncut: an uncut path joins the poles and each
+    cut path's two halves hang off one pole each, while with every path cut
+    no path joins the poles. So when every path is cut, dropping the cut of
+    the highest path index reconnects the graph.
+    """
 
     role = "adversary"
     name = "theta_blocker"
@@ -228,20 +247,16 @@ class ThetaBlocker:
 
     def decide(self, base: Graph, state: AgentState, memory: tuple[ThetaLayout]):
         layout = memory[0]
-        sources = sorted(
-            {p for p, s in zip(state.positions, state.is_source) if s}
-        )
-        ignorant = sorted(
-            {p for p, s in zip(state.positions, state.is_source) if not s}
-        )
+        sources = {p for p, s in zip(state.positions, state.is_source) if s}
+        ignorant = {p for p, s in zip(state.positions, state.is_source) if not s}
         if not sources or not ignorant:
             return frozenset(), memory
 
-        src_dist = [base.distances_from(s) for s in sources]
-
-        def dist_to_source(v: int) -> int:
-            return min(d[v] for d in src_dist)
-
+        dist = None  # distance of every node to its nearest source
+        for s in sources:
+            d = base.distances_from(s)
+            dist = d if dist is None else [min(x, y) for x, y in zip(dist, d)]
+        where = layout.where
         cuts: dict[int, Edge] = {}  # path index -> removed edge
 
         def norm(u: int, v: int) -> Edge:
@@ -249,44 +264,35 @@ class ThetaBlocker:
 
         # Conversion guard: any ignorant agent within distance 2 of a source
         # gets the edge toward that source removed.
-        for a in sorted(ignorant, key=lambda v: (dist_to_source(v), v)):
-            if dist_to_source(a) > 2:
+        for a in sorted(ignorant, key=lambda v: (dist[v], v)):
+            d = dist[a]
+            if d > 2:
+                break
+            nxt = min((w for w in base.neighbors(a) if dist[w] < d), default=None)
+            if nxt is None:  # the agent is on a source
                 continue
-            nxt = min(
-                (w for w in base.neighbors(a) if dist_to_source(w) < dist_to_source(a)),
-                default=None,
-            )
-            if nxt is None:
-                continue
-            p_idx = layout.path_of(a)
-            if p_idx is None:
-                p_idx = layout.path_of(nxt)
-            if p_idx is None:  # both poles adjacent: single-edge path
-                continue
+            p_idx = (where.get(a) or where[nxt])[0]
             if p_idx not in cuts:
                 cuts[p_idx] = norm(a, nxt)
 
         # Pole guard: on paths without a cut, box the ignorant agent nearest a
         # pole by removing the edge between it and that pole's side.
-        for p_idx, chain in enumerate(layout.chains):
-            if p_idx in cuts:
-                continue
-            coords = sorted(
-                layout.coord(p_idx, a)
-                for a in ignorant
-                if layout.path_of(a) == p_idx
-            )
-            if not coords:
-                continue
+        coords: dict[int, list[int]] = {}
+        for a in ignorant:
+            loc = where.get(a)
+            if loc is not None and loc[0] not in cuts:
+                coords.setdefault(loc[0], []).append(loc[1])
+        for p_idx, cs in coords.items():
+            chain = layout.chains[p_idx]
             last = len(chain) - 1
-            i = min(coords, key=lambda c: (min(c, last - c), c))
+            i = min(cs, key=lambda c: (min(c, last - c), c))
             if i <= last - i:
                 cuts[p_idx] = norm(chain[i - 1], chain[i])
             else:
                 cuts[p_idx] = norm(chain[i], chain[i + 1])
 
-        # Keep at least one path fully intact.
-        while cuts and not base.is_connected(frozenset(cuts.values())):
+        # Keep at least one path fully intact (see the class docstring).
+        if len(cuts) == layout.n_paths:
             cuts.pop(max(cuts))
         return frozenset(cuts.values()), memory
 
@@ -369,7 +375,7 @@ class IsolationTreeAdversary:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in sorted(base.neighbors(v)):
+                for w in base.neighbors(v):  # sorted by `adjacency`
                     if w not in banned and w not in seen:
                         seen.add(w)
                         keep.add((min(v, w), max(v, w)))

@@ -40,7 +40,13 @@ Three questions are asked of such graphs:
   each distinct target tuple at a node is moved and converted once. Against
   a fixed adversary, the surviving adjacency of each connected removal is
   built once per check; a removal that disconnects the graph is never
-  stored, so it always raises.
+  stored, so it always raises. An agent's options are its node and its
+  surviving neighbours, and an ignorant agent converts only on a node a
+  source moves to. So when no ignorant agent's options meet any source's
+  options, no joint move converts anyone: every successor keeps the
+  classes `state.is_source`, and the conversion rule is not run per move.
+  Otherwise each joint move goes through `_convert`. Either way the
+  successors and their order are the same.
   Against a fixed agent policy the removals are always every connected
   removal (`connected_removals`): the spanning-tree reduction below is
   unsound against a fixed agent policy, which may react to the exact
@@ -909,8 +915,13 @@ def model_check_policy(
             adj = adjacency.get(removed)
             if adj is None:  # a disconnecting removal raises here, each time
                 adj = adjacency[removed] = _surviving_graph(g, removed).adjacency()
-            moves = product(*((p,) + adj[p] for p in state.positions))
-            return [[(AgentState(t, _convert(t, state.is_source)[0]), mem2) for t in moves]]
+            cls = state.is_source
+            options = [(p,) + adj[p] for p in state.positions]
+            reach = {t for opts, s in zip(options, cls) if s for t in opts}
+            moves = product(*options)
+            if all(reach.isdisjoint(opts) for opts, s in zip(options, cls) if not s):
+                return [[(AgentState(t, cls), mem2) for t in moves]]  # nobody converts
+            return [[(AgentState(t, _convert(t, cls)[0]), mem2) for t in moves]]
 
     # Depth-first exploration of (state, memory) nodes, numbered on discovery.
     start = (initial, fixed.initial_memory(g, initial))

@@ -11,7 +11,8 @@ import pytest
 
 import dynbroadcast
 from dynbroadcast.cli import main, parse_family
-from dynbroadcast.graph import Graph, graph_to_json, make_path, make_ring, make_theta
+from dynbroadcast.engine import trace_from_json
+from dynbroadcast.graph import Graph, graph_to_json, make_complete, make_path, make_ring, make_theta
 
 # sha256 of every trace file `verify all --output DIR` writes. Any change to
 # a policy, the engine or the trace format that alters one shows up here.
@@ -509,6 +510,22 @@ class TestCheckTrace:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: malformed trace file {str(dest)!r}")
+
+    def test_reversed_removed_edge_loads_as_its_normal_form(self, capsys, tmp_path):
+        # A removed pair written high endpoint first is the same edge.
+        doc = {
+            "graph": json.loads(graph_to_json(make_complete(4))),
+            "initial": {"is_source": [False, True], "positions": [0, 2]},
+            "outcome": None,
+            "rounds": [{"conversions": [], "moves": [[0, 0], [2, 2]], "removed": [[1, 3]], "round": 1}],
+        }
+        want = trace_from_json(json.dumps(doc)).rounds[0]
+        doc["rounds"][0]["removed"] = [[3, 1]]
+        dest = tmp_path / "reversed.trace.json"
+        dest.write_text(json.dumps(doc))
+        assert trace_from_json(dest.read_text()).rounds[0] == want
+        assert want.removed_edges == frozenset([(1, 3)])
+        assert run(capsys, "check-trace", str(dest)) == (0, "trace ok: 1 rounds validated\n", "")
 
     def test_tampered_trace_fails(self, capsys, tmp_path):
         dest = self.write_trace(capsys, tmp_path)

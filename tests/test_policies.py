@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from dynbroadcast import policies, solver
-from dynbroadcast.engine import RuleViolation, initial_state, simulate, validate_removal
+from dynbroadcast.engine import AgentState, RuleViolation, initial_state, simulate, validate_removal
 from dynbroadcast.graph import (
     Graph,
     GraphError,
@@ -187,7 +187,96 @@ class TestThetaBroadcast:
             simulate(g, state, pol, PassiveAdversary(), max_rounds=5)
 
 
+def reference_theta_blocker_decide(base, state, memory):
+    """`ThetaBlocker.decide` as it was before its connectivity walk was
+    replaced by the theta argument: the reference the rewrite must match."""
+    layout = memory[0]
+    sources = sorted(
+        {p for p, s in zip(state.positions, state.is_source) if s}
+    )
+    ignorant = sorted(
+        {p for p, s in zip(state.positions, state.is_source) if not s}
+    )
+    if not sources or not ignorant:
+        return frozenset(), memory
+
+    src_dist = [base.distances_from(s) for s in sources]
+
+    def dist_to_source(v):
+        return min(d[v] for d in src_dist)
+
+    cuts = {}  # path index -> removed edge
+
+    def norm(u, v):
+        return (u, v) if u < v else (v, u)
+
+    for a in sorted(ignorant, key=lambda v: (dist_to_source(v), v)):
+        if dist_to_source(a) > 2:
+            continue
+        nxt = min(
+            (w for w in base.neighbors(a) if dist_to_source(w) < dist_to_source(a)),
+            default=None,
+        )
+        if nxt is None:
+            continue
+        p_idx = layout.path_of(a)
+        if p_idx is None:
+            p_idx = layout.path_of(nxt)
+        if p_idx is None:
+            continue
+        if p_idx not in cuts:
+            cuts[p_idx] = norm(a, nxt)
+
+    for p_idx, chain in enumerate(layout.chains):
+        if p_idx in cuts:
+            continue
+        coords = sorted(
+            layout.coord(p_idx, a)
+            for a in ignorant
+            if layout.path_of(a) == p_idx
+        )
+        if not coords:
+            continue
+        last = len(chain) - 1
+        i = min(coords, key=lambda c: (min(c, last - c), c))
+        if i <= last - i:
+            cuts[p_idx] = norm(chain[i - 1], chain[i])
+        else:
+            cuts[p_idx] = norm(chain[i], chain[i + 1])
+
+    while cuts and not base.is_connected(frozenset(cuts.values())):
+        cuts.pop(max(cuts))
+    return frozenset(cuts.values()), memory
+
+
+def small_multisets(nodes):
+    """Every multiset of one or two nodes, each as a sorted tuple."""
+    return [c for r in (1, 2) for c in itertools.combinations_with_replacement(nodes, r)]
+
+
 class TestThetaBlocker:
+    def test_decide_matches_reference(self):
+        # Every state with 1-2 ignorant agents and 1-2 sources, co-located
+        # agents and ignorant agents on a source included.
+        adv, checked = ThetaBlocker(), 0
+        for ds in ([1, 2, 3], [2, 3, 4], [3, 3, 3], [2, 2, 2, 2]):
+            g = make_theta(ds)
+            layout = theta_layout(g)
+            groups = small_multisets(g.nodes)
+            for ig in groups:
+                for src in groups:
+                    state = AgentState(ig + src, (False,) * len(ig) + (True,) * len(src))
+                    mem = adv.initial_memory(g, state)
+                    got = adv.decide(g, state, mem)
+                    assert got == reference_theta_blocker_decide(g, state, mem), (ds, state)
+                    removed = got[0]
+                    assert g.is_connected(removed), (ds, state)
+                    # Every edge has an internal endpoint, which names its path.
+                    paths = [(layout.where.get(u) or layout.where[v])[0] for u, v in removed]
+                    assert len(set(paths)) == len(paths), (ds, state)
+                    checked += 1
+        assert checked == 18019
+
     def test_placement_needs_spare_path(self):
         g = make_theta([3, 3, 3])
         adv = ThetaBlocker()

@@ -498,6 +498,16 @@ class TestModelChecker:
         res = model_check_policy(g, adv.place(g, k_ignorant, 1), adv)
         assert res == SolverResult("adversary", float("inf"), *want)
 
+    def test_theta_blocker_loses_where_the_solver_says_adversary(self):
+        # The blocker is not a lower-bound witness on every theta: the agents
+        # cannot force broadcast from its own placement on theta(1,2,2) with
+        # 2 ignorant agents, yet they beat the blocker, converting on the way.
+        g = make_theta([1, 2, 2])
+        adv = ThetaBlocker()
+        start = adv.place(g, 2, 1)
+        assert solvable(g, 2, start.config()) is False
+        assert model_check_policy(g, start, adv) == SolverResult("agents", 5, 874, 13320, 754)
+
     def test_theta_strategy_result_is_pinned(self):
         # One call and one branch per connected removal on the non-local
         # path, per distinct menu on the local one.
