@@ -323,17 +323,10 @@ def trace_from_json(text: str) -> Trace:
     )
     trace = Trace(g, initial)
     for rec in doc["rounds"]:
-        pairs = rec["removed"]
-        try:  # pairs that are already the graph's edges are taken as they are
-            removed = frozenset(map(tuple, pairs))
-        except TypeError:  # normalised below, which raises as it always did
-            removed = None
-        if removed is None or not removed <= g.edges:
-            removed = frozenset(_norm_edge(u, v) for u, v in pairs)
         trace.rounds.append(
             RoundRecord(
                 rec["round"],
-                removed,
+                frozenset(_norm_edge(u, v) for u, v in rec["removed"]),
                 tuple((a, b) for a, b in rec["moves"]),
                 tuple(rec["conversions"]),
             )
