@@ -107,29 +107,29 @@ MAX_BOND_NODES = 16  # bond enumeration is exponential in n
 
 
 def enumerate_bonds(g: Graph) -> list[Bond]:
-    """All bonds, found by scanning connected bipartitions (exponential in n)."""
+    """All bonds, found by scanning connected bipartitions (exponential in n).
+
+    Node 0 stays on side A, so no bipartition is scanned twice. Sides are bit
+    masks: each side's connectivity is a walk over the neighbour masks, and
+    the cut is built only for the bipartitions that are bonds.
+    """
     n = g.node_count
     if n > MAX_BOND_NODES:
         raise ValueError(f"bond enumeration limited to {MAX_BOND_NODES} nodes")
-    adjacency = g.adjacency()
+    masks = g.neighbour_masks()
+    every = (1 << n) - 1
     bonds = []
-    # Fix node 0 on side A to avoid mirrored duplicates.
-    rest = list(range(1, n))
+    rest = [1 << v for v in range(1, n)]
     for r in range(0, n - 1):
         for extra in combinations(rest, r):
-            side_a = frozenset((0,) + extra)
-            side_b = frozenset(v for v in range(n) if v not in side_a)
-            if not side_b:
+            a = 1 + sum(extra)
+            b = every ^ a
+            if not (_mask_connected(a, masks) and _mask_connected(b, masks)):
                 continue
-            cut = frozenset(
-                (u, v) for (u, v) in g.edges if (u in side_a) != (v in side_a)
-            )
-            if not cut:
-                continue
-            if _connected_within(side_a, adjacency) and _connected_within(
-                side_b, adjacency
-            ):
-                bonds.append(Bond(cut, side_a, side_b))
+            cut = frozenset((u, v) for (u, v) in g.edges if (a >> u & 1) != (a >> v & 1))
+            if cut:
+                side_a = frozenset(v for v in range(n) if a >> v & 1)
+                bonds.append(Bond(cut, side_a, frozenset(range(n)) - side_a))
     return bonds
 
 
@@ -138,17 +138,17 @@ def largest_matching_bond(bonds: list[Bond]) -> Bond | None:
     return max((b for b in bonds if b.is_matching), key=lambda b: len(b.edges), default=None)
 
 
-def _connected_within(nodes: frozenset[int], adjacency) -> bool:
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w in nodes and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+def _mask_connected(nodes: int, masks) -> bool:
+    """Whether the nodes of the bit mask `nodes` (at least one) induce a
+    connected subgraph: a walk over the neighbour masks, kept inside `nodes`."""
+    frontier = seen = nodes & -nodes
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        new = masks[v] & nodes & ~seen
+        seen |= new
+        frontier |= new
+    return seen == nodes
 
 
 def y_set_diameter(g: Graph, y: int) -> int:
@@ -156,11 +156,10 @@ def y_set_diameter(g: Graph, y: int) -> int:
     in the base graph; the best-case spread of y agents that must meet."""
     if not 1 <= y <= g.node_count:
         raise ValueError("y out of range")
-    adjacency = g.adjacency()
+    masks = g.neighbour_masks()
     best = None
     for nodes in combinations(range(g.node_count), y):
-        node_set = frozenset(nodes)
-        if not _connected_within(node_set, adjacency):
+        if not _mask_connected(sum(1 << v for v in nodes), masks):
             continue
         diam = max(
             (g.distance(u, v) for u, v in combinations(nodes, 2)), default=0

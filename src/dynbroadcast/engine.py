@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple, Protocol
 
-from .graph import Edge, Graph, _norm_edge, graph_from_doc, graph_to_doc
+from .graph import Edge, Graph, GraphError, _norm_edge, graph_from_doc, graph_to_doc
 
 
 class RuleViolation(ValueError):
@@ -323,10 +323,19 @@ def trace_from_json(text: str) -> Trace:
     )
     trace = Trace(g, initial)
     for rec in doc["rounds"]:
+        pairs = rec["removed"]
+        # False and True equal nodes 0 and 1 and index the neighbour masks as
+        # them, so the round would validate as a removal it does not name.
+        # (A float such as 1.0 is refused when the removal is applied.)
+        removed = [
+            _norm_edge(u, v) for u, v in pairs if type(u) is not bool and type(v) is not bool
+        ]
+        if len(removed) != len(pairs):
+            raise GraphError(f"removed edges must name nodes by int: {pairs}")
         trace.rounds.append(
             RoundRecord(
                 rec["round"],
-                frozenset(_norm_edge(u, v) for u, v in rec["removed"]),
+                frozenset(removed),
                 tuple((a, b) for a, b in rec["moves"]),
                 tuple(rec["conversions"]),
             )

@@ -88,11 +88,29 @@ Storage of the canonical game graph (`_StateSpace`):
   width[m] is the number of m-multisets. One int32 array `conv` maps the id
   of every (ignorant, source) pair to the representative (below) of its
   state after conversion.
+- Tables in numpy blocks. Each m-multiset is a sorted row whose base-n code
+  grows with its rank, so any row is ranked by sorting it (a compare-exchange
+  network on its columns) and a `searchsorted` of its code. `rep` (below)
+  takes the minimum over a block of automorphisms at a time, one reduction
+  per layer. `conv` is built per layer: a boolean node-presence matrix finds
+  the pairs that share a node, and each such pair's converted rows are
+  ranked in the same way.
+- Menu codes. An agent at v over a surviving edge set stays or crosses a
+  surviving edge at v, so the target list of a class at multiset M depends
+  only on M and on the surviving neighbourhoods of M's nodes. Each menu of
+  an occupied set O holds every surviving edge at O, so it gives each node
+  of O its surviving neighbourhood, interned as an int code (equal codes,
+  equal neighbourhoods). The codes of O's menus are one flat int array per
+  O, menus x nodes of O. A class's list is keyed by M and the codes of M's
+  distinct nodes: equal keys give every agent the same options, hence equal
+  target lists. Lists are resolved once per (M, O), for all of O's menus
+  together, and once per distinct key. `all_subsets` feeds every connected
+  survivor through the same codes.
 - Interned sets. Over one surviving edge set, a class of agents at multiset
   M can move to a list of distinct target multisets, stored as their sorted
-  ranks and interned. A branch's successor set is fixed by its pair of
-  target lists (the ignorant class's and the source class's), so branches
-  with equal pairs share one stored set.
+  ranks and interned by content. A branch's successor set is fixed by its
+  pair of target lists (the ignorant class's and the source class's), so
+  branches with equal pairs share one stored set.
 - The kernel. The set of lists (A, C) with i ignorant agents holds the
   distinct conv[layer[i] + a * width[total - i] + c] over a in A and c in C.
   It is built in numpy, over chunks of about CHUNK_ENTRIES product entries.
@@ -142,7 +160,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
+from typing import Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,12 +241,15 @@ def connected_removals(g: Graph) -> list[frozenset[Edge]]:
     return out
 
 
-def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozenset[Edge]]:
-    """One surviving edge set per inclusion-minimal menu of the occupied nodes.
+def _minimal_menus(
+    g: Graph, occupied: frozenset[int]
+) -> tuple[frozenset[Edge], list[tuple[Edge, ...]]]:
+    """The edges with no endpoint in `occupied`, and every inclusion-minimal
+    menu of the occupied nodes, as a tuple of edges.
 
-    Each is every edge with no endpoint in `occupied`, plus one spanning tree
-    of the multigraph left by contracting those edges (see the module
-    docstring).
+    A menu is one spanning tree of the multigraph left by contracting the
+    kept edges, each tree edge read as one of the parallel occupied-incident
+    edges it stands for (see the module docstring).
     """
     kept = frozenset(e for e in g.edges if occupied.isdisjoint(e))
     parent = list(g.nodes)
@@ -248,11 +269,18 @@ def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozense
         a, b = sorted((label[find(u)], label[find(v)]))
         parallel.setdefault((a, b), []).append((u, v))
     quotient = Graph(len(label), frozenset(parallel))
-    return [
-        kept.union(choice)
+    return kept, [
+        choice
         for tree in spanning_trees(quotient)
         for choice in product(*(parallel[q] for q in sorted(tree)))
     ]
+
+
+def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozenset[Edge]]:
+    """One surviving edge set per inclusion-minimal menu of the occupied
+    nodes: the edges with no endpoint in `occupied`, plus the menu."""
+    kept, menus = _minimal_menus(g, occupied)
+    return [kept.union(menu) for menu in menus]
 
 
 def _class_targets(ms: tuple[int, ...], adj) -> set[tuple[int, ...]]:
@@ -360,14 +388,28 @@ class _StateSpace:
             list(combinations_with_replacement(range(n), m)) for m in range(total + 1)
         ]
         self.rank = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
+        # Each m-multiset as a sorted row, and its base-n code, which grows
+        # with its rank, so that sorted rows are ranked by searchsorted.
+        self._rows = [
+            np.array(mss, dtype=np.int64).reshape(len(mss), m)
+            for m, mss in enumerate(self.multisets)
+        ]
+        self._codes = [
+            rows @ n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            for m, rows in enumerate(self._rows)
+        ]
         self.rep = self._representatives(group)
         # conv[id of an (ignorant, source) pair] = rep of its state after conversion.
         self.conv = self.rep[self._conversions()]
-        self._survivor_ids: dict[frozenset[Edge], int] = {}
-        self._adjacency: list[tuple[tuple[int, ...], ...]] = []  # per survivor
-        # Target-list id of a class, keyed by its multiset and its nodes'
-        # adjacency, so survivors that agree around the class share it.
-        self._target_ids: dict[tuple, int] = {}
+        # Interned surviving neighbourhoods: neighbour bit mask -> code, and
+        # the sorted neighbours of each code.
+        self._nbr_codes: dict[int, int] = {}
+        self._nbrs: list[tuple[int, ...]] = []
+        # Target-list ids of a class, by its multiset, then by the codes of its
+        # distinct nodes, so menus that agree around the class share one.
+        self._target_ids: dict[tuple[int, ...], dict] = {}
+        self._power = [(total + 1) ** v for v in range(n)]
+        self._code_ranks: dict[int, dict[int, int]] = {}
         # Interned target lists: the sorted ranks of the distinct multisets a
         # class can move to, stored flat, with the class size of each list.
         self._lists: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -392,74 +434,170 @@ class _StateSpace:
         ig, src = divmod(i - self.layer[n_ig], self.width[self.total - n_ig])
         return Configuration(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
 
+    def _ranks(self, m: int, rows: np.ndarray) -> np.ndarray:
+        """The ranks of the m-multisets held, in any order, by the last axis of
+        `rows`."""
+        # Sorted by an odd-even transposition network on the columns (m rounds
+        # of compare-exchange), which stands in for np.sort, as in the kernel.
+        cols = [rows[..., j] for j in range(m)]
+        for r in range(m):
+            for j in range(r % 2, m - 1, 2):
+                lo, hi = cols[j], cols[j + 1]
+                cols[j], cols[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+        code = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for col in cols:
+            code = code * self.n + col
+        return np.searchsorted(self._codes[m], code)
+
     def _representatives(self, group: Iterable[tuple[int, ...]]) -> np.ndarray:
         """rep[id] = the least id of sigma(state) over the identity and every
         sigma in `group`: a running minimum, so that peak memory stays
         O(states). The ranks of the image multisets are found for a block of
-        sigmas at a time, REP_BLOCK_ROWS rows per multiset size."""
-        # Each m-multiset as a row, and its base-n code, which grows with its rank.
-        mats = [
-            np.array(mss, dtype=np.int64).reshape(len(mss), m)
-            for m, mss in enumerate(self.multisets)
-        ]
-        weights = [self.n ** np.arange(m - 1, -1, -1, dtype=np.int64) for m in range(len(mats))]
-        codes = [mat @ w for mat, w in zip(mats, weights)]
+        sigmas at a time, REP_BLOCK_ROWS rows per multiset size, and each
+        layer takes the minimum over as many of them at once as fill
+        REP_BLOCK_ROWS image ids."""
         perms = np.array(group, dtype=np.int64).reshape(-1, self.n)
-        step = max(1, REP_BLOCK_ROWS // max(map(len, mats)))
+        step = max(1, REP_BLOCK_ROWS // max(map(len, self._rows)))
         rep = np.arange(self.layer[-1], dtype=np.int32)
         for lo in range(0, len(perms), step):
-            ranks = []  # ranks[m][j, r]: rank of the image of m-multiset r under sigma j
-            for mat, w, code in zip(mats, weights, codes):
-                moved = perms[lo : lo + step, mat]
-                # A stable argsort stands in for np.sort, as in the kernel.
-                moved = np.take_along_axis(moved, np.argsort(moved, axis=2, kind="stable"), 2)
-                ranks.append(np.searchsorted(code, moved @ w))
+            # ranks[m][j, r]: rank of the image of m-multiset r under sigma j
+            ranks = [
+                self._ranks(m, perms[lo : lo + step, rows]) for m, rows in enumerate(self._rows)
+            ]
             for n_ig in range(self.total):
                 n_src = self.total - n_ig
                 here = rep[self.layer[n_ig] : self.layer[n_ig + 1]]
-                for r_ig, r_src in zip(ranks[n_ig], ranks[n_src]):
-                    image = self.layer[n_ig] + r_ig[:, None] * self.width[n_src] + r_src
-                    np.minimum(here, image.ravel(), out=here)
+                r_ig, r_src = ranks[n_ig][:, :, None], ranks[n_src][:, None, :]
+                per = max(1, REP_BLOCK_ROWS // len(here))
+                for j in range(0, len(r_ig), per):
+                    image = r_ig[j : j + per] * self.width[n_src] + r_src[j : j + per]
+                    image += self.layer[n_ig]
+                    np.minimum(here, image.reshape(len(image), -1).min(axis=0), out=here)
         return rep
 
     def _conversions(self) -> np.ndarray:
-        """conv[id before conversion] = id after conversion."""
+        """conv[id before conversion] = id after conversion, one layer at a time."""
         conv = np.arange(self.layer[-1], dtype=np.int32)
         for n_ig in range(1, self.total):
-            srcs = self.multisets[self.total - n_ig]
-            present = [frozenset(src) for src in srcs]
-            pre = self.layer[n_ig]
-            for ig in self.multisets[n_ig]:
-                for src, here in zip(srcs, present):
-                    if not here.isdisjoint(ig):
-                        conv[pre] = self.id(canonical_after_conversion(ig, src))
-                    pre += 1
+            n_src = self.total - n_ig
+            ig, src = self._rows[n_ig], self._rows[n_src]
+            # Node presence, not bit masks: a graph may have more than 63 nodes.
+            on_ig = np.zeros((len(ig), self.n), dtype=bool)
+            on_ig[np.arange(len(ig))[:, None], ig] = True
+            on_src = np.zeros((len(src), self.n), dtype=bool)
+            on_src[np.arange(len(src))[:, None], src] = True
+            # The (ignorant, source) pairs that share a node, by pair id.
+            pre = np.flatnonzero(on_ig @ on_src.T)
+            a, c = np.divmod(pre, len(src))
+            ig_rows, src_rows = ig[a], src[c]
+            hit = on_src[c[:, None], ig_rows]  # an ignorant agent on a source's node
+            n_hit = hit.sum(axis=1)
+            for h in range(1, n_ig + 1):  # h agents convert
+                sel = n_hit == h
+                k = int(sel.sum())
+                if not k:
+                    continue
+                stay = ig_rows[sel][~hit[sel]].reshape(k, n_ig - h)
+                moved = ig_rows[sel][hit[sel]].reshape(k, h)
+                new_src = np.concatenate((src_rows[sel], moved), axis=1)
+                conv[self.layer[n_ig] + pre[sel]] = (
+                    self.layer[n_ig - h]
+                    + self._ranks(n_ig - h, stay) * self.width[n_src + h]
+                    + self._ranks(n_src + h, new_src)
+                )
         return conv
 
-    def survivor(self, edges: frozenset[Edge]) -> int:
-        """Id of a surviving edge set."""
-        sid = self._survivor_ids.get(edges)
-        if sid is None:
-            sid = self._survivor_ids[edges] = len(self._adjacency)
-            self._adjacency.append(Graph(self.n, edges).adjacency())
-        return sid
+    def menu_codes(self, occupied: tuple[int, ...], menus: Iterable[Iterable[Edge]]) -> array:
+        """Row i, of len(occupied) codes: the interned surviving neighbourhood
+        of each occupied node in menu i, which holds every surviving edge at
+        the occupied nodes (other edges are skipped). Flat, row after row."""
+        col = {v: j for j, v in enumerate(occupied)}
+        codes, nbrs_of = self._nbr_codes, self._nbrs
+        out = array("i")
+        for menu in menus:
+            nbrs = [0] * len(occupied)
+            for u, v in menu:
+                j = col.get(u)
+                if j is not None:
+                    nbrs[j] |= 1 << v
+                j = col.get(v)
+                if j is not None:
+                    nbrs[j] |= 1 << u
+            for mask in nbrs:
+                c = codes.get(mask)
+                if c is None:
+                    c = codes[mask] = len(nbrs_of)
+                    nbrs_of.append(tuple(w for w in range(self.n) if mask >> w & 1))
+                out.append(c)
+        return out
 
-    def class_targets(self, ms: tuple[int, ...], sid: int) -> int:
-        """Id of the interned target list of a class at `ms` over survivor
-        `sid`: the sorted ranks of the distinct multisets it can move to."""
-        adj = self._adjacency[sid]
-        local = (ms, tuple([adj[v] for v in ms]))
-        tid = self._target_ids.get(local)
-        if tid is None:
-            rank = self.rank[len(ms)]
-            key = (len(ms), tuple(sorted(rank[r] for r in _class_targets(ms, adj))))
-            tid = self._lists.get(key)
+    def class_lists(
+        self, ms: tuple[int, ...], occupied: tuple[int, ...], codes: array
+    ) -> Sequence[int]:
+        """Ids of the interned target lists of a class at `ms` over each menu
+        of `codes` (from `menu_codes(occupied, ...)`). A menu's key is the
+        codes of the class's distinct nodes, and each distinct key of `ms` is
+        resolved once."""
+        known = self._target_ids.setdefault(ms, {})
+        nodes = ms[:1] if ms[0] == ms[-1] else tuple(dict.fromkeys(ms))
+        width = len(occupied)
+        if len(codes) == width:  # one menu, as on trees: one key
+            if len(nodes) == 1:
+                key = codes[occupied.index(ms[0])]
+            else:
+                key = tuple([codes[occupied.index(v)] for v in nodes])
+            tid = known.get(key)
             if tid is None:
-                tid = self._lists[key] = len(self._list_sizes)
-                self._list_values.extend(key[1])
-                self._list_starts.append(len(self._list_values))
-                self._list_sizes.append(len(ms))
-            self._target_ids[local] = tid
+                tid = known[key] = self._target_list(ms, nodes, key)
+            return (tid,)
+        if len(nodes) == 1:
+            keys = codes[occupied.index(ms[0]) :: width]
+        else:
+            keys = zip(*[codes[occupied.index(v) :: width] for v in nodes])
+        tids = array("i")
+        for key in keys:
+            tid = known.get(key)
+            if tid is None:
+                tid = known[key] = self._target_list(ms, nodes, key)
+            tids.append(tid)
+        return tids
+
+    def _code_rank(self, m: int) -> dict[int, int]:
+        """Code (see `_target_list`) -> rank, over the m-multisets; built on
+        first use."""
+        got = self._code_ranks.get(m)
+        if got is None:
+            power = self._power
+            got = self._code_ranks[m] = {
+                sum([power[v] for v in ms]): r for r, ms in enumerate(self.multisets[m])
+            }
+        return got
+
+    def _target_list(self, ms: tuple[int, ...], nodes: tuple[int, ...], key) -> int:
+        """Id of the interned target list of a class at `ms` whose distinct
+        nodes have the neighbourhood codes `key` (one code if one node): the
+        sorted ranks of the distinct multisets the class can move to."""
+        nbrs = map(self._nbrs.__getitem__, (key,) if len(nodes) == 1 else key)
+        # Each distinct node's options: itself and its neighbours, sorted.
+        options = {v: sorted((v,) + vn) for v, vn in zip(nodes, nbrs)}
+        if len(ms) == 1:  # a 1-multiset's rank is its node
+            ranks = options[ms[0]]
+        else:
+            # A multiset's code is its sum of power[v] = (total + 1) ** v over
+            # its nodes, with multiplicity; no node is held more than total
+            # times, so codes are distinct. Moves add one option per agent.
+            power, reach = self._power, {0}
+            for v in ms:
+                reach = {r + power[t] for r in reach for t in options[v]}
+            rank = self._code_rank(len(ms))
+            ranks = sorted(map(rank.__getitem__, reach))
+        content = (len(ms), tuple(ranks))
+        tid = self._lists.get(content)
+        if tid is None:
+            tid = self._lists[content] = len(self._list_sizes)
+            self._list_values.extend(content[1])
+            self._list_starts.append(len(self._list_values))
+            self._list_sizes.append(len(ms))
         return tid
 
     def successor_sets(
@@ -528,41 +666,38 @@ def _canonical_graph(
     group = automorphisms(g) if mode == "spanning_trees" else ()
     space = _StateSpace(g, total_agents, budget_states, group)
     if mode == "spanning_trees":
-        by_occupied: dict[frozenset[int], list[int]] = {}
-
-        def menu(occupied: frozenset[int]) -> list[int]:
-            got = by_occupied.get(occupied)
-            if got is None:
-                got = by_occupied[occupied] = [
-                    space.survivor(s) for s in _minimal_menu_survivors(g, occupied)
-                ]
-            return got
+        def menus(occupied: tuple[int, ...]) -> array:
+            return space.menu_codes(occupied, _minimal_menus(g, frozenset(occupied))[1])
 
     elif mode == "all_subsets":
-        every = [space.survivor(g.edges - r) for r in connected_removals(g)]
+        survivors = [g.edges - r for r in connected_removals(g)]
 
-        def menu(occupied: frozenset[int]) -> list[int]:
-            return every
+        def menus(occupied: tuple[int, ...]) -> array:
+            return space.menu_codes(occupied, survivors)
 
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # Target-list ids of a class at each branch of a state, memoised by the
-    # class multiset and the occupied set.
-    by_class: dict[tuple[tuple[int, ...], frozenset[int]], array] = {}
+    # Menu codes of each occupied set, and the target-list ids of a class at
+    # each menu, memoised by the class multiset and the occupied set.
+    by_occupied: dict[frozenset[int], tuple[tuple[int, ...], array]] = {}
+    by_class: dict[tuple[tuple[int, ...], frozenset[int]], Sequence[int]] = {}
     ig_lists, src_lists, counts = array("i"), array("i"), array("i")
     ids = np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32)
     reps = ids[space.rep[ids] == ids]
     for st in map(space.state, reps.tolist()):
         occupied = frozenset(st.ignorant + st.source)
-        sids = menu(occupied)
+        got = by_occupied.get(occupied)
+        if got is None:
+            occ = tuple(sorted(occupied))
+            got = by_occupied[occupied] = (occ, menus(occ))
+        occ, codes = got
         for ms, out in ((st.ignorant, ig_lists), (st.source, src_lists)):
             tids = by_class.get((ms, occupied))
             if tids is None:
-                tids = array("i", [space.class_targets(ms, sid) for sid in sids])
-                by_class[(ms, occupied)] = tids
+                tids = by_class[(ms, occupied)] = space.class_lists(ms, occ, codes)
             out.extend(tids)
-        counts.append(len(sids))
+        counts.append(len(codes) // len(occ))
     owner = np.repeat(reps, np.frombuffer(counts, dtype=np.int32))
     # Interned sets: one per distinct pair of target lists.
     n_lists = len(space._list_sizes) or 1

@@ -44,6 +44,8 @@ from dynbroadcast.graph import (
 from dynbroadcast.policies import ThetaBroadcastPolicy
 from dynbroadcast.solver import min_agents
 
+from reference_bonds import reference_bonds
+
 
 def mislabelled_theta() -> Graph:
     """theta(3,3,3) with edge (3,4) moved to (3,6), keeping the theta labels.
@@ -191,6 +193,13 @@ class TestBonds:
         # On a ring every bond is a pair of edges: C(5,2) = 10.
         assert len(bonds) == 10
         assert all(len(b.edges) == 2 for b in bonds)
+
+    def test_bonds_equal_the_reference_scan_in_order(self):
+        # Same bonds, equal by value, in the same order as the set-based scan.
+        graphs = list(atlas_graphs(max_nodes=6, min_nodes=1))
+        graphs += [make_grid(3, 4), make_theta([3, 3, 3]), make_clique_star(7, 2)]
+        for g in graphs:
+            assert enumerate_bonds(g) == reference_bonds(g), sorted(g.edges)
 
 
 class TestTiming:

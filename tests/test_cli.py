@@ -99,19 +99,19 @@ class TestAnalyze:
         assert doc["largest_matching_bond"] == 3
 
     def test_bonds_are_enumerated_once(self, capsys, monkeypatch):
-        # Bond enumeration is the only caller of `_connected_within` here, so
+        # Bond enumeration is the only caller of `_mask_connected` here, so
         # its call count measures how often the bonds are enumerated.
         from dynbroadcast import analysis
 
         calls = []
-        within = analysis._connected_within
+        within = analysis._mask_connected
         monkeypatch.setattr(
-            analysis, "_connected_within", lambda *a: calls.append(a) or within(*a)
+            analysis, "_mask_connected", lambda *a: calls.append(a) or within(*a)
         )
         analysis.enumerate_bonds(make_ring(6))
         once = len(calls)
         code, out, _ = run(capsys, "analyze", "ring:6")
-        assert code == 0 and len(calls) == 2 * once
+        assert once and code == 0 and len(calls) == 2 * once
         assert json.loads(out)["bond_count"] == 15
 
     def test_table_format(self, capsys):
@@ -526,6 +526,22 @@ class TestCheckTrace:
         assert trace_from_json(dest.read_text()).rounds[0] == want
         assert want.removed_edges == frozenset([(1, 3)])
         assert run(capsys, "check-trace", str(dest)) == (0, "trace ok: 1 rounds validated\n", "")
+
+    @pytest.mark.parametrize("pair", [[True, 3], [3, True], [1.0, 3]])
+    def test_non_integer_removed_endpoint_fails(self, capsys, tmp_path, pair):
+        # True == 1 and 1.0 == 1 both pass the edge-subset test; neither names a node.
+        dest = tmp_path / "bool.trace.json"
+        dest.write_text(json.dumps({
+            "graph": json.loads(graph_to_json(make_complete(4))),
+            "initial": {"is_source": [False, True], "positions": [0, 2]},
+            "outcome": None,
+            "rounds": [{"conversions": [], "moves": [[0, 0], [2, 2]], "removed": [pair], "round": 1}],
+        }))
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: removed edges must name nodes by int: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_tampered_trace_fails(self, capsys, tmp_path):
         dest = self.write_trace(capsys, tmp_path)

@@ -1,6 +1,7 @@
 """Round semantics, rule enforcement, simulation loop, and trace handling."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,18 @@ class TestTraces:
         back = trace_from_json(text)
         assert trace_to_json(back) == text
         check_trace(back)
+
+    @pytest.mark.parametrize("pair", [[True, 3], [3, False]])
+    def test_trace_from_json_refuses_a_bool_removed_endpoint(self, pair):
+        # (True, 3) == (1, 3), and True indexes the neighbour masks, so the
+        # round would validate as a removal of (1, 3).
+        doc = json.loads(trace_to_json(simulate(
+            make_complete(4), initial_state([0], [2]), TowardSourcePolicy(), PassiveAdversary(),
+            max_rounds=1,
+        )))
+        doc["rounds"][0]["removed"] = [pair]
+        with pytest.raises(GraphError, match="removed edges must name nodes by int"):
+            trace_from_json(json.dumps(doc))
 
     def test_check_trace_catches_tampered_moves(self):
         trace = self.make_trace()

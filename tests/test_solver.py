@@ -1,7 +1,9 @@
 """Exact game solver: attractor computation, known optima, game values,
 extracted policies, and the fixed-policy model checker."""
 
+import hashlib
 import itertools
+import json
 from math import ceil
 
 import networkx as nx
@@ -15,6 +17,7 @@ from dynbroadcast.graph import (
     Graph,
     automorphisms,
     contract_cut_edges,
+    make_clique_star,
     make_complete,
     make_lollipop,
     make_path,
@@ -28,6 +31,7 @@ from dynbroadcast.policies import (
     ThetaBroadcastPolicy,
     TowardSourcePolicy,
 )
+from dynbroadcast import solver
 from dynbroadcast.solver import (
     BudgetExceeded,
     CanonicalState,
@@ -249,6 +253,90 @@ class TestSuccessorKernel:
         assert att.branches == len(sets)
         assert att.successor_entries == sum(map(len, sets))
         assert att.distinct_sets == len(pairs) >= len(set(sets))
+
+
+def rank_digest(att):
+    """sha256 of the sorted rank items, each as a plain JSON list
+    [ignorant, source, rank]."""
+    items = sorted((list(s.ignorant), list(s.source), r) for s, r in att.rank.items())
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()
+
+
+FAMILIES = {
+    "theta": lambda p: make_theta(list(p)),
+    "clique_star": lambda p: make_clique_star(*p),
+    "complete": lambda p: make_complete(*p),
+    "lollipop": lambda p: make_lollipop(*p),
+    "ring": lambda p: make_ring(*p),
+    "path": lambda p: make_path(*p),
+}
+
+# (family, params, total agents, rank digest, (branches, successor_entries,
+# distinct_sets)). The perfbench `kstar` attractors (1 .. k* or k_max
+# ignorant agents, plus one source), then clique_star(7,2) and complete(6)
+# with 5 agents. Recorded from the per-state orbit and conversion loops and
+# the survivor-graph branch rows, before those were built in numpy blocks.
+EXACT_PINS = [
+    ("theta", (3, 3, 3), 2, "339852ea2e3419a7e36fba009a5b18dc5bd34c0f856ff028b126122a25927223", (87, 434, 71)),
+    ("theta", (3, 3, 3), 3, "5da7f61af3535cc1c7e51fe11729b97ae1615445340afe268749b0f5070bc2ae", (1478, 18602, 1204)),
+    ("clique_star", (7, 2), 2, "ed0e616462315d451386db06d505ef7f873a019cb6cc30fa8accd4c726fa6c60", (77, 317, 77)),
+    ("clique_star", (7, 2), 3, "c8f8cb3f053259e8b688244e8b7a505ec662f7b4a82d01f84338187e5d821b4a", (860, 6760, 840)),
+    ("complete", (5,), 2, "8f89e8b1ea69a3364c5bd45b5b887638ce71cc107cfd81307cc3e240cbeb2c06", (19, 32, 19)),
+    ("complete", (5,), 3, "9bdf9673e93ed11ec7260373be579b38c870ad05549899e594f6025ea43ef381", (168, 512, 160)),
+    ("complete", (5,), 4, "b789042c41f2cc81a1807a1801732da9d41d230f45ed5aabad783a5d42df9092", (887, 4983, 845)),
+    ("lollipop", (3, 2), 2, "b3daf6fa9df82c2f0efa29f78eaa76b0b06f064238cd3ab3263ae92c74f5e0f7", (89, 417, 89)),
+    ("lollipop", (3, 2), 3, "23913c9beaeebbf59adc273be1304223c4bc0a20ac06cd5c7e198f2b9a30a24e", (984, 8760, 956)),
+    ("lollipop", (2, 2), 2, "5467f8ed0b5ea0d05e42ae3409725763efcadca3e9ebfc21d4d1fe3342a209bc", (58, 294, 58)),
+    ("lollipop", (2, 2), 3, "9453393921c7dc849e21da38cc4850b3757de60befd07a5fc9697d8de648b03a", (508, 5176, 496)),
+    ("theta", (4, 4), 2, "bd052a395a073392b6fd1e0dd32aacc7e5102fed4f07a226740cec66d0166e9a", (21, 71, 18)),
+    ("theta", (4, 4), 3, "26cf63c2359188f14a95437021102d5205e9c05040dfdf41d21766c068f80b72", (294, 3000, 257)),
+    ("ring", (10,), 2, "bd052a395a073392b6fd1e0dd32aacc7e5102fed4f07a226740cec66d0166e9a", (21, 71, 18)),
+    ("ring", (10,), 3, "62cd6c5f794490aa1bcf0f5901ee3278f716296923e7b9cf5c13f4e55f870f73", (294, 3000, 255)),
+    ("ring", (6,), 2, "878526d25985ed2de64ca1d97a766486e847b48156ba9bb3453b1fc23a5f4dd9", (13, 39, 12)),
+    ("ring", (6,), 3, "3ea9b9bbde41c87868d5b3825acc1b224934cd1fc67ec7b7d626c513953cd9ad", (106, 832, 101)),
+    ("theta", (3, 3), 2, "ce4a7404641da6bd7163c110d77b973a8b83e7d4aa9517295dd76b3f59c9dd60", (17, 55, 15)),
+    ("theta", (3, 3), 3, "43e374ef5e6dd8ec7780d7a492d5d087c36fae71d274622830bfac125ef5ce08", (188, 1750, 171)),
+    ("path", (8,), 2, "386b3f9fd1fdb351560b3f935edce3b5c56b776b0ad06ce6a4c826dd7e6cec54", (32, 238, 32)),
+    ("clique_star", (7, 2), 5, "d18fc29f314b35ec12e118270de98b9676e3b5e0bcc19921ba07e7ef8aeba9f8", (24402, 684868, 23394)),
+    ("complete", (6,), 5, "dcbf56ce5cb97872279772cdac1badbd44b7711d36b333a9aa87a674d20ab5a3", (12116, 104825, 11430)),
+]
+
+
+class TestExactnessPins:
+    @pytest.mark.parametrize(
+        "family, params, total, digest, counts",
+        EXACT_PINS,
+        ids=[f"{f}{p}/{t}" for f, p, t, *_ in EXACT_PINS],
+    )
+    def test_ranks_and_counts_are_pinned(self, monkeypatch, family, params, total, digest, counts):
+        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})  # build, do not read a cached result
+        att = compute_attractor(FAMILIES[family](params), total)
+        assert rank_digest(att) == digest
+        assert (att.branches, att.successor_entries, att.distinct_sets) == counts
+
+
+class TestSetupTables:
+    """The orbit table `rep` and the conversion table `conv`, state by state,
+    against the per-state orbit minimum and `canonical_after_conversion`."""
+
+    @pytest.mark.parametrize(
+        "g, total",
+        [
+            (make_complete(5), 4),
+            (make_clique_star(7, 2), 3),
+            (make_theta([3, 3, 3]), 3),
+            (make_path(70), 2),  # more nodes than a 64-bit mask holds
+        ],
+        ids=["complete(5)/4", "clique_star(7,2)/3", "theta(3,3,3)/3", "path(70)/2"],
+    )
+    def test_tables_match_per_state_recomputation(self, g, total):
+        space, _ = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
+        rep = orbit_rep(g)
+        for i in range(space.layer[-1]):
+            st = space.state(i)
+            assert space.state(int(space.rep[i])) == rep(st), st
+            after = space.id(canonical_after_conversion(st.ignorant, st.source))
+            assert space.conv[i] == space.rep[after], st
 
 
 class TestSymmetry:
