@@ -81,7 +81,7 @@ against, and no other entry point selects it.
 
 Storage of the canonical game graph (`_StateSpace`):
 
-- Ranked ids. A multiset of m nodes is ranked by its position in
+- Ranked ids (`_Ranking`). A multiset of m nodes is ranked by its position in
   `combinations_with_replacement(range(n), m)`. Layer i holds the states
   with i ignorant agents, and a state's id is
   layer[i] + rank(ignorant) * width[total - i] + rank(source), where
@@ -151,6 +151,14 @@ Aut(g) keeps rank(rep(x)) = rank(x); closure is what makes rep fix its own
 values, so that every rep(x) has branches. When Aut(g) has more than
 `MAX_AUTOMORPHISMS` elements, `automorphisms` returns none, and the group is
 the identity alone; so it is for `all_subsets`, the unreduced reference.
+
+Answers. An `Attractor` keeps the `_Ranking` of its states and one int32
+rank per state id, -1 where the adversary wins, and none of the build's
+tables. Every answer about a state is read through its id: `rank_of` and
+`wins` look one state up, and `solvable` ranks every distinct-node placement
+at once in numpy. The `states` list and the `rank` dict are views with the
+same contents and order, built on first use; the extracted policies read
+`rank`, one lookup per pair of target multisets.
 """
 
 from __future__ import annotations
@@ -158,6 +166,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -321,7 +330,7 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
     """
     owner, starts = graph.owner, graph.offsets[:-1]
     win = goal.copy()
-    rank = np.where(win, 0, -1)
+    rank = np.where(win, 0, -1).astype(np.int32)
     undecided = np.zeros(len(goal), dtype=bool)
     undecided[owner] = True
     undecided &= ~win
@@ -347,15 +356,35 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
 class Attractor:
     graph: Graph
     total_agents: int
-    states: list[Configuration]  # in state id order
-    rank: dict[Configuration, int]  # winning states only; rank = minimax rounds to goal
+    ranking: _Ranking  # state <-> id
+    ranks: np.ndarray  # int32 per state id: minimax rounds to goal; -1 where the adversary wins
     # Counts of the game graph over orbit representatives (module docstring):
     branches: int  # (representative, adversary branch) pairs
     successor_entries: int  # summed over branches: successor representatives per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
 
+    def rank_of(self, state: Configuration) -> int | None:
+        """The rank of `state`, or None if the adversary wins there or it is
+        not a state of this game."""
+        i = self.ranking.id(state)
+        if i is None:
+            return None
+        r = int(self.ranks[i])
+        return r if r >= 0 else None
+
     def wins(self, state: Configuration) -> bool:
-        return state in self.rank
+        return self.rank_of(state) is not None
+
+    @cached_property
+    def states(self) -> list[Configuration]:
+        """Every state, in id order; built on first use."""
+        return [st for n_ig in range(self.total_agents) for st in self.ranking.states(n_ig)]
+
+    @cached_property
+    def rank(self) -> dict[Configuration, int]:
+        """Winning state -> rank, in id order; built on first use."""
+        won = np.flatnonzero(self.ranks >= 0)
+        return dict(zip(map(self.ranking.state, won.tolist()), self.ranks[won].tolist()))
 
 
 _ATTRACTOR_CACHE: dict[tuple[Graph, int, Mode], Attractor] = {}
@@ -367,14 +396,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
 
 
-class _StateSpace:
-    """Ranked ids of the canonical states with `total` agents on `g`, and the
-    successor sets of their branches (see the module docstring)."""
+class _Ranking:
+    """The ranked ids of the canonical states with `total` agents on n nodes
+    (see the module docstring): the one map between states and ids, held by
+    the state space that builds a game graph and by the attractor solved on
+    it. Raises BudgetExceeded, before any table is built, when there are
+    more than `budget_states` states."""
 
-    def __init__(
-        self, g: Graph, total: int, budget_states: int, group: Iterable[tuple[int, ...]]
-    ):
-        n = g.node_count
+    def __init__(self, n: int, total: int, budget_states: int):
         self.width = [comb(n + m - 1, m) for m in range(total + 1)]
         self.layer = [0]  # layer[i]: id of the first state with i ignorant agents
         for n_ig in range(total):  # at least one source
@@ -387,13 +416,55 @@ class _StateSpace:
         self.multisets = [
             list(combinations_with_replacement(range(n), m)) for m in range(total + 1)
         ]
-        self.rank = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
+        # index[m][ms]: the rank of the m-multiset ms, a sorted tuple.
+        self.index = [{ms: r for r, ms in enumerate(mss)} for mss in self.multisets]
+
+    def rows(self, m: int) -> np.ndarray:
+        """The m-multisets as sorted rows, in rank order."""
+        mss = self.multisets[m]
+        return np.array(mss, dtype=np.int64).reshape(len(mss), m)
+
+    def states(self, n_ig: int) -> Iterator[Configuration]:
+        """The states with n_ig ignorant agents, in id order."""
+        for ig in self.multisets[n_ig]:
+            for src in self.multisets[self.total - n_ig]:
+                yield Configuration(ig, src)
+
+    def id(self, st: tuple[tuple[int, ...], tuple[int, ...]]) -> int | None:
+        """The id of the state (ignorant, source), or None if it is not one:
+        a class out of order, a node out of range, the wrong agent count, or
+        no source."""
+        ig, src = st
+        n_ig = len(ig)
+        if n_ig >= self.total or n_ig + len(src) != self.total:
+            return None
+        a, c = self.index[n_ig].get(ig), self.index[len(src)].get(src)
+        if a is None or c is None:
+            return None
+        return self.layer[n_ig] + a * self.width[len(src)] + c
+
+    def state(self, i: int) -> Configuration:
+        """The state with id i."""
+        n_ig = bisect_right(self.layer, i) - 1
+        ig, src = divmod(i - self.layer[n_ig], self.width[self.total - n_ig])
+        return Configuration(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
+
+
+class _StateSpace:
+    """The canonical states with `total` agents on `g`, ranked by `ranking`,
+    and the successor sets of their branches (see the module docstring)."""
+
+    def __init__(
+        self, g: Graph, total: int, budget_states: int, group: Iterable[tuple[int, ...]]
+    ):
+        self.ranking = _Ranking(g.node_count, total, budget_states)
+        n = self.n = g.node_count
+        self.total = total
+        self.width, self.layer = self.ranking.width, self.ranking.layer
+        self.multisets = self.ranking.multisets
         # Each m-multiset as a sorted row, and its base-n code, which grows
         # with its rank, so that sorted rows are ranked by searchsorted.
-        self._rows = [
-            np.array(mss, dtype=np.int64).reshape(len(mss), m)
-            for m, mss in enumerate(self.multisets)
-        ]
+        self._rows = [self.ranking.rows(m) for m in range(total + 1)]
         self._codes = [
             rows @ n ** np.arange(m - 1, -1, -1, dtype=np.int64)
             for m, rows in enumerate(self._rows)
@@ -416,23 +487,6 @@ class _StateSpace:
         self._list_values = array("i")
         self._list_starts = array("q", [0])
         self._list_sizes = array("i")
-
-    def states(self, n_ig: int) -> Iterator[Configuration]:
-        """The states with n_ig ignorant agents, in id order."""
-        for ig in self.multisets[n_ig]:
-            for src in self.multisets[self.total - n_ig]:
-                yield Configuration(ig, src)
-
-    def id(self, st: Configuration) -> int:
-        n_ig, n_src = len(st.ignorant), len(st.source)
-        ig, src = self.rank[n_ig][st.ignorant], self.rank[n_src][st.source]
-        return self.layer[n_ig] + ig * self.width[n_src] + src
-
-    def state(self, i: int) -> Configuration:
-        """The state with id i."""
-        n_ig = bisect_right(self.layer, i) - 1
-        ig, src = divmod(i - self.layer[n_ig], self.width[self.total - n_ig])
-        return Configuration(self.multisets[n_ig][ig], self.multisets[self.total - n_ig][src])
 
     def _ranks(self, m: int, rows: np.ndarray) -> np.ndarray:
         """The ranks of the m-multisets held, in any order, by the last axis of
@@ -685,7 +739,7 @@ def _canonical_graph(
     ig_lists, src_lists, counts = array("i"), array("i"), array("i")
     ids = np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32)
     reps = ids[space.rep[ids] == ids]
-    for st in map(space.state, reps.tolist()):
+    for st in map(space.ranking.state, reps.tolist()):
         occupied = frozenset(st.ignorant + st.source)
         got = by_occupied.get(occupied)
         if got is None:
@@ -723,20 +777,18 @@ def compute_attractor(
     key = (g, total_agents, mode)
     cached = _ATTRACTOR_CACHE.get(key)
     # A smaller budget than the cached build must still raise BudgetExceeded.
-    if cached is not None and len(cached.states) <= budget_states:
+    if cached is not None and len(cached.ranks) <= budget_states:
         return cached
     space, graph = _canonical_graph(
         g, total_agents, mode, budget_states, range(1, total_agents)
     )
-    states = [st for n_ig in range(total_agents) for st in space.states(n_ig)]
-    rank_arr = _solve(np.arange(len(states)) < space.layer[1], graph)[space.rep]
-    rank = {states[i]: int(rank_arr[i]) for i in np.flatnonzero(rank_arr >= 0)}
+    ranks = _solve(np.arange(space.layer[-1]) < space.layer[1], graph)[space.rep]
     set_sizes = np.diff(graph.offsets)
     result = Attractor(
         g,
         total_agents,
-        states,
-        rank,
+        space.ranking,
+        ranks,
         branches=len(graph.owner),
         successor_entries=int(set_sizes[graph.set_of].sum()),
         distinct_sets=len(set_sizes),
@@ -756,6 +808,24 @@ def _initial_states(g: Graph, k_ignorant: int, k_source: int) -> list[Configurat
             ig = tuple(v for v in nodes if v not in src)
             out.append(Configuration(ig, src))
     return out
+
+
+def _placement_ids(ranking: _Ranking, k_ignorant: int, k_source: int) -> np.ndarray:
+    """The ids, in increasing order, of every placement on distinct nodes:
+    the states of `_initial_states`."""
+
+    def distinct(m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ranks of the m-multisets with distinct nodes, and their node
+        presence (not bit masks: a graph may have more than 63 nodes)."""
+        rows = ranking.rows(m)
+        keep = np.flatnonzero((np.diff(rows, axis=1) > 0).all(axis=1))
+        on = np.zeros((len(keep), ranking.n), dtype=bool)
+        on[np.arange(len(keep))[:, None], rows[keep]] = True
+        return keep, on
+
+    (a, on_ig), (c, on_src) = distinct(k_ignorant), distinct(k_source)
+    ia, ic = np.nonzero(~(on_ig @ on_src.T))  # the pairs that share no node
+    return ranking.layer[k_ignorant] + a[ia] * ranking.width[k_source] + c[ic]
 
 
 def solvable(
@@ -785,15 +855,13 @@ def solvable(
         _check_positions(g, state.ignorant + state.source)
         att = compute_attractor(g, k + k_source, budget_states=budget_states)
         return att.wins(state)
+    if placement not in ("adversarial", "agents_choose"):
+        raise ValueError(f"unknown placement {placement!r}")
     if k + k_source > g.node_count:
         raise ValueError("more agents than nodes")
     att = compute_attractor(g, k + k_source, budget_states=budget_states)
-    initials = _initial_states(g, k, k_source)
-    if placement == "adversarial":
-        return all(att.wins(s) for s in initials)
-    if placement == "agents_choose":
-        return any(att.wins(s) for s in initials)
-    raise ValueError(f"unknown placement {placement!r}")
+    won = att.ranks[_placement_ids(att.ranking, k, k_source)] >= 0
+    return bool(won.all() if placement == "adversarial" else won.any())
 
 
 def min_agents(
@@ -808,6 +876,8 @@ def min_agents(
     the scan stops at the first success. A budget overrun surfaces as
     BudgetExceeded, annotated with the last k that was decided.
     """
+    if k_max < 1:  # an unknown placement is refused by the first solvable call
+        raise ValueError(f"need k_max >= 1, not {k_max}")
     last_decided = 0
     for k in range(1, k_max + 1):
         try:
@@ -835,7 +905,7 @@ def game_value(
     _check_positions(g, state.ignorant + state.source)
     total = len(state.ignorant) + len(state.source)
     if objective == "all_sources":
-        r = compute_attractor(g, total, budget_states=budget_states).rank.get(state)
+        r = compute_attractor(g, total, budget_states=budget_states).rank_of(state)
         return INFINITE if r is None else r
     if objective != "first_new_source":
         raise ValueError(f"unknown objective {objective!r}")
@@ -849,7 +919,7 @@ def game_value(
         g, total, "spanning_trees", budget_states, range(i0, i0 + 1)
     )
     rank = _solve(np.arange(space.layer[-1]) < space.layer[i0], graph)
-    r = int(rank[space.rep[space.id(state)]])
+    r = int(rank[space.rep[space.ranking.id(state)]])
     return INFINITE if r < 0 else r
 
 

@@ -425,6 +425,23 @@ class TestSolve:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "2", "--placement", "nonsense", "--budget-states", "0"],
+            ["--k-max", "0", "--placement", "nonsense"],
+            ["--k-max", "-1"],
+        ],
+    )
+    def test_unanswerable_questions_are_usage_errors(self, capsys, argv):
+        # Not "budget exceeded" (exit 4) and not "min_agents": null (exit 0):
+        # nothing was decided.
+        code, out, err = run(capsys, "solve", "theta:3,3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_budget_exit_four(self, capsys):
         code, out, _ = run(
             capsys, "solve", "theta:4,4,4", "--k-max", "3", "--budget-states", "10"

@@ -39,7 +39,9 @@ from dynbroadcast.solver import (
     SolvedAgentPolicy,
     SolverResult,
     _canonical_graph,
+    _initial_states,
     _minimal_menu_survivors,
+    _placement_ids,
     canonical_after_conversion,
     compute_attractor,
     connected_removals,
@@ -158,11 +160,11 @@ def kernel_branches(g, total, rep):
     canonical game graph, with the representatives (`rep(s) == s`) and their
     survivors recomputed in build order."""
     space, graph = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
-    states = [s for n_ig in range(total) for s in space.states(n_ig)]
+    states = [s for n_ig in range(total) for s in space.ranking.states(n_ig)]
     branches = (
         (s, survivor)
         for n_ig in range(1, total)
-        for s in space.states(n_ig)
+        for s in space.ranking.states(n_ig)
         if rep(s) == s
         for survivor in _minimal_menu_survivors(g, frozenset(s.ignorant + s.source))
     )
@@ -333,10 +335,71 @@ class TestSetupTables:
         space, _ = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
         rep = orbit_rep(g)
         for i in range(space.layer[-1]):
-            st = space.state(i)
-            assert space.state(int(space.rep[i])) == rep(st), st
-            after = space.id(canonical_after_conversion(st.ignorant, st.source))
+            st = space.ranking.state(i)
+            assert space.ranking.state(int(space.rep[i])) == rep(st), st
+            after = space.ranking.id(canonical_after_conversion(st.ignorant, st.source))
             assert space.conv[i] == space.rep[after], st
+
+
+class TestRankArrays:
+    """An attractor answers from one rank per state id; the `states` list and
+    the `rank` dict are views of it, built on first use."""
+
+    @pytest.mark.parametrize(
+        "g, total",
+        [(make_theta([3, 3, 3]), 3), (make_clique_star(7, 2), 3), (make_complete(5), 4)],
+        ids=["theta(3,3,3)/3", "clique_star(7,2)/3", "complete(5)/4"],
+    )
+    def test_rank_of_equals_the_rank_dict(self, g, total):
+        att = compute_attractor(g, total)
+        n = g.node_count
+        malformed = [
+            CanonicalState((1, 0), (2,) * (total - 2)),  # a class out of order
+            CanonicalState((), (0,) * (total - 1) + (n,)),  # a node out of range
+            CanonicalState((0,) * (total - 1) + (-1,), (0,)),
+            CanonicalState((), (0,) * (total + 1)),  # the wrong agent count
+            CanonicalState((0,), (1,) * (total - 2)),
+            CanonicalState(tuple(range(total)), ()),  # no source
+        ]
+        for s in att.states + malformed:
+            assert att.rank_of(s) == att.rank.get(s), s
+            assert att.rank_of(tuple(s)) == att.rank.get(tuple(s)), s  # plain tuples too
+        assert all(att.rank_of(s) is None for s in malformed)
+        assert len(att.rank) == int((att.ranks >= 0).sum()) > 0
+
+    def test_placements_equal_the_per_state_loop(self):
+        for g in atlas_graphs(5):
+            for k_source in (1, 2):
+                for k in range(g.node_count - k_source + 1):
+                    att = compute_attractor(g, k + k_source)
+                    initials = _initial_states(g, k, k_source)
+                    ids = _placement_ids(att.ranking, k, k_source)
+                    assert ids.tolist() == sorted(att.ranking.id(s) for s in initials)
+                    wins = [s in att.rank for s in initials]
+                    where = (g.edges, k, k_source)
+                    assert solvable(g, k, "adversarial", k_source) == all(wins), where
+                    assert solvable(g, k, "agents_choose", k_source) == any(wins), where
+
+    def test_min_agents_builds_no_views(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
+        min_agents(make_theta([3, 3, 3]), 2)
+        assert solver._ATTRACTOR_CACHE
+        for att in solver._ATTRACTOR_CACHE.values():
+            assert "states" not in vars(att) and "rank" not in vars(att)
+
+    def test_unknown_placement_is_refused_before_any_build(self):
+        g = make_theta([3, 3])
+        with pytest.raises(ValueError, match="unknown placement"):
+            solvable(g, 2, "nonsense", budget_states=0)
+        with pytest.raises(BudgetExceeded):
+            solvable(g, 2, "adversarial", budget_states=0)
+
+    @pytest.mark.parametrize(
+        "k_max, placement", [(0, "adversarial"), (-1, "adversarial"), (2, "nonsense"), (0, "nonsense")]
+    )
+    def test_min_agents_refuses_what_it_cannot_scan(self, k_max, placement):
+        with pytest.raises(ValueError):
+            min_agents(make_theta([3, 3]), k_max, placement)
 
 
 class TestSymmetry:
@@ -676,8 +739,8 @@ class TestStructuralProperties:
         g = make_complete(4)
         att = compute_attractor(g, 3)
         with pytest.raises(BudgetExceeded):
-            compute_attractor(g, 3, budget_states=len(att.states) - 1)
-        assert compute_attractor(g, 3, budget_states=len(att.states)) is att
+            compute_attractor(g, 3, budget_states=len(att.ranks) - 1)
+        assert compute_attractor(g, 3, budget_states=len(att.ranks)) is att
 
     def test_agent_counts_out_of_range_are_rejected(self):
         g = make_theta([3, 3])
