@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple, Protocol
 
-from .graph import Edge, Graph, GraphError, _norm_edge, graph_from_doc, graph_to_doc
+from .graph import Edge, Graph, GraphError, _norm_edge, _spans, graph_from_doc, graph_to_doc
 
 
 class RuleViolation(ValueError):
@@ -120,9 +120,10 @@ def validate_removal(g: Graph, removed: Iterable[Edge]) -> bool:
 def _check_positions(g: Graph, positions: Iterable[int]) -> None:
     """ValueError unless every position is a node of g: an `int` (not a bool
     or a float equal to one) in range."""
+    n = g.node_count
     for p in positions:
-        if type(p) is not int or p not in g.nodes:
-            raise ValueError(f"position {p} is not a node of the graph (0..{g.node_count - 1})")
+        if type(p) is not int or not 0 <= p < n:
+            raise ValueError(f"position {p} is not a node of the graph (0..{n - 1})")
 
 
 def _convert(positions: tuple[int, ...], is_source: tuple[bool, ...]) -> tuple[tuple[bool, ...], tuple[int, ...]]:
@@ -160,21 +161,21 @@ def _move(
 ) -> tuple[AgentState, tuple[int, ...]]:
     """Check every move is stay-or-adjacent in the surviving graph, then move
     and convert."""
-    _check_moves(surviving, state, targets)
+    _check_moves(surviving.neighbour_masks(), state.positions, targets)
     targets = tuple(targets)
     new_cls, conversions = _convert(targets, state.is_source)
     return AgentState(targets, new_cls), conversions
 
 
-def _check_moves(surviving: Graph, state: AgentState, targets: tuple[int, ...]) -> None:
-    """RuleViolation unless targets gives every agent a stay or a step along
-    a surviving edge; a target must be an `int`, so 1.0 is not node 1."""
-    if len(targets) != state.total:
+def _check_moves(masks, positions: tuple[int, ...], targets: tuple[int, ...]) -> None:
+    """RuleViolation unless targets gives the agents at `positions` each a
+    stay or a step along a surviving edge, read from the survivor's neighbour
+    masks; a target must be an `int`, so 1.0 is not node 1."""
+    if len(targets) != len(positions):
         raise RuleViolation(
-            f"move count {len(targets)} does not cover the {state.total} agents"
+            f"move count {len(targets)} does not cover the {len(positions)} agents"
         )
-    masks = surviving.neighbour_masks()
-    for i, (src, dst) in enumerate(zip(state.positions, targets)):
+    for i, (src, dst) in enumerate(zip(positions, targets)):
         if type(dst) is not int:
             raise RuleViolation(f"agent {i} target {dst!r} is not a node")
         if dst != src and (dst < 0 or not masks[src] >> dst & 1):
@@ -264,24 +265,80 @@ def simulate(
 
 
 def check_trace(trace: Trace) -> None:
-    """Independently re-validate every stored round (removal + move legality)."""
-    _check_positions(trace.graph, trace.initial.positions)
+    """Independently re-validate every stored round and the outcome.
+
+    Each round is checked on its own, on the survivor's neighbour masks
+    re-derived from the recorded removal: the removal names edges of the
+    graph and leaves it connected, the moves start where the agents stand
+    and pass the move rule `simulate` uses (`_check_moves`), and the
+    recorded conversions are the ones the moves make. The bookkeeping must
+    be what `simulate` writes: rounds labelled 1..R, play that stops once
+    every agent is a source, and an outcome that agrees with the rounds.
+    """
+    g = trace.graph
     state = trace.initial
-    for rec in trace.rounds:
+    _check_positions(g, state.positions)
+    if len(state.is_source) != state.total or any(type(s) is not bool for s in state.is_source):
+        raise ValueError(f"is_source {list(state.is_source)!r} must hold one bool per agent")
+    states = [state]
+    solved = all(state.is_source)
+    for i, rec in enumerate(trace.rounds, start=1):
+        if solved:
+            raise RuleViolation(f"every agent is a source after round {i - 1}, but play goes on")
+        if type(rec.round_index) is not int or rec.round_index != i:
+            raise RuleViolation(f"round {i} is labelled {rec.round_index!r}")
         targets = tuple(t for _, t in rec.moves)
-        _check_positions(trace.graph, targets)  # reported as a position, like the start
+        _check_positions(g, targets)  # reported as a position, like the start
         try:
-            surviving = _surviving_graph(trace.graph, rec.removed_edges)
-            if tuple(f for f, _ in rec.moves) != state.positions:
+            masks = g._survivor_masks(g._removal(rec.removed_edges))
+            if not _spans(masks):
+                raise RuleViolation("removal disconnects the graph")
+            origins = tuple(f for f, _ in rec.moves)
+            if origins != state.positions:
                 raise RuleViolation("moves do not match positions")
-            state, conversions = _move(surviving, state, targets)
-            if conversions != rec.conversions:
+            for a, f in enumerate(origins):
+                if type(f) is not int:
+                    raise RuleViolation(f"agent {a} origin {f!r} is not a node")
+            _check_moves(masks, state.positions, targets)
+            new_cls, conversions = _convert(targets, state.is_source)
+            if conversions != rec.conversions or any(type(c) is not int for c in rec.conversions):
                 raise RuleViolation("conversion record mismatch")
         except RuleViolation as exc:
-            raise RuleViolation(f"round {rec.round_index}: {exc}") from exc
-    if trace.outcome is not None and trace.outcome.kind == "solved":
-        if not all(state.is_source):
-            raise RuleViolation("outcome says solved but ignorant agents remain")
+            raise RuleViolation(f"round {i}: {exc}") from exc
+        state = AgentState(targets, new_cls)
+        states.append(state)
+        if conversions:
+            solved = all(new_cls)
+    if trace.outcome is not None:
+        _check_outcome(trace.outcome, states)
+
+
+def _check_outcome(outcome: Outcome, states: list[AgentState]) -> None:
+    """RuleViolation unless `outcome` is the one `simulate` gives after play
+    that passed through `states` (the start, then the state after each round)."""
+    kind, r = outcome.kind, len(states) - 1
+    solved = all(states[-1].is_source)
+    if kind not in ("solved", "adversary_cycle", "round_limit_reached"):
+        raise RuleViolation(f"unknown outcome kind {kind!r}")
+    if kind == "solved" and not solved:
+        raise RuleViolation("outcome says solved but ignorant agents remain")
+    if kind != "solved" and solved:
+        raise RuleViolation(f"outcome says {kind} but every agent is a source")
+    if kind == "adversary_cycle":
+        p = outcome.period
+        if outcome.round is not None:
+            raise RuleViolation(f"adversary_cycle outcome has round {outcome.round!r}, not null")
+        if type(p) is not int or not 1 <= p <= r:
+            raise RuleViolation(f"adversary_cycle period {p!r} is not in 1..{r}")
+        if states[r] != states[r - p]:
+            raise RuleViolation(
+                f"adversary_cycle period {p}: the state after round {r} is not the one after round {r - p}"
+            )
+    elif type(outcome.round) is not int or outcome.round != r or outcome.period is not None:
+        raise RuleViolation(
+            f"{kind} outcome (round {outcome.round!r}, period {outcome.period!r})"
+            f" does not match a trace of {r} rounds"
+        )
 
 
 # -- trace JSON ------------------------------------------------------------------
@@ -318,9 +375,7 @@ def trace_to_json(trace: Trace) -> str:
 def trace_from_json(text: str) -> Trace:
     doc = json.loads(text)
     g = graph_from_doc(doc["graph"])
-    initial = AgentState(
-        tuple(doc["initial"]["positions"]), tuple(bool(b) for b in doc["initial"]["is_source"])
-    )
+    initial = AgentState(tuple(doc["initial"]["positions"]), tuple(doc["initial"]["is_source"]))
     trace = Trace(g, initial)
     for rec in doc["rounds"]:
         pairs = rec["removed"]

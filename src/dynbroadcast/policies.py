@@ -74,7 +74,12 @@ class PassiveAdversary:
 
 class RandomTreeAdversary:
     """Keeps a random spanning tree each round (random-order Kruskal), with
-    the generator re-derived from (seed, round) so traces are reproducible."""
+    the generator re-derived from (seed, round) so traces are reproducible.
+
+    The order is Durstenfeld's shuffle of the sorted edges, run inline on
+    `getrandbits` with the draws `random.shuffle` makes (for i+1 elements,
+    `(i + 1).bit_length()` bits, redrawn while at least i+1), so it is the
+    permutation `random.shuffle` gives; a test pins the two together."""
 
     role = "adversary"
 
@@ -86,9 +91,15 @@ class RandomTreeAdversary:
         return 0
 
     def decide(self, base: Graph, state: AgentState, memory: int):
-        rng = random.Random(self.seed * 2654435761 + memory)
+        getrandbits = random.Random(self.seed * 2654435761 + memory).getrandbits
         edges = list(sorted_edges(base))
-        rng.shuffle(edges)
+        for i in range(len(edges) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            edges[i], edges[j] = edges[j], edges[i]
         # Kruskal with an inline union-find (path halving): an edge joining
         # two components is kept, every other edge is removed.
         parent = list(range(base.node_count))
@@ -158,7 +169,12 @@ class GreedyPathPolicy:
     """Single-source heuristic: pick the ignorant agent whose shortest path to
     the source carries the most ignorant agents (ties: lowest agent node id,
     then lexicographically smallest path); everyone on that path steps one
-    edge toward the source, the source steps one edge toward them."""
+    edge toward the source, the source steps one edge toward them.
+
+    The survivor is read through its neighbour masks: a BFS from the source
+    builds its distance layers as bit masks, and from a node at distance d
+    the smallest next step is the lowest set bit of its neighbours in
+    layer d - 1."""
 
     role = "agents"
     name = "greedy_path"
@@ -176,22 +192,39 @@ class GreedyPathPolicy:
         )
         if not ignorant_nodes:
             return state.positions, None
-        adj = surviving.adjacency()
-        dist = surviving.distances_from(source)
-        ig_set = set(ignorant_nodes)
-        best = None  # (-count, agent node, path)
-        for a in ignorant_nodes:
+        masks = surviving.neighbour_masks()
+        ig_mask = sum(1 << a for a in ignorant_nodes)
+        # BFS layers from the source, until every ignorant node is reached.
+        layers = [1 << source]
+        seen = frontier = 1 << source
+        while ig_mask & ~seen:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                raise ValueError("greedy path policy needs a connected survivor")
+            seen |= frontier
+            layers.append(frontier)
+        best_count, path = 0, None
+        for a in ignorant_nodes:  # in node order, so a tie keeps the lower node
             # Lexicographically smallest shortest path: from every node, the
             # smallest neighbour one step closer to the source.
-            path = [a]
-            while path[-1] != source:
-                v = path[-1]
-                path.append(min(w for w in adj[v] if dist[w] == dist[v] - 1))
-            count = sum(1 for v in path if v in ig_set)
-            cand = (-count, a, path)
-            if best is None or cand < best:
-                best = cand
-        path = best[2]
+            d = 0
+            while not layers[d] >> a & 1:
+                d += 1
+            walk, on_path, v = [a], 1 << a, a
+            for layer in reversed(layers[:d]):
+                step = masks[v] & layer
+                step &= -step
+                v = step.bit_length() - 1
+                walk.append(v)
+                on_path |= step
+            count = (on_path & ig_mask).bit_count()
+            if count > best_count:
+                best_count, path = count, walk
         nxt_toward_source = {path[i]: path[i + 1] for i in range(len(path) - 1)}
         targets = []
         for pos, is_src in zip(state.positions, state.is_source):

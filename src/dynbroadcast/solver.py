@@ -1103,7 +1103,7 @@ def model_check_policy(
             out, moved = [], {}
             for surviving in representatives(state.positions):
                 targets, mem2 = fixed.decide(surviving, state, mem)
-                _check_moves(surviving, state, targets)
+                _check_moves(surviving.neighbour_masks(), state.positions, targets)
                 nxt = moved.get(targets)
                 if nxt is None:
                     new_cls = _convert(targets, state.is_source)[0]

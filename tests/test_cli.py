@@ -560,6 +560,83 @@ class TestCheckTrace:
         assert err.startswith("error: removed edges must name nodes by int: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    # Mutations of valid traces whose bookkeeping contradicts their rounds:
+    # (trace, mutation, start of the error message). "theta" is a solved
+    # one-round theta:2,2 trace, "cycle" a two-round adversary cycle of
+    # period 2 on theta:3,3,3.
+    BOOKKEEPING = {
+        "label_9": ("theta", lambda d: d["rounds"][0].update(round=9), "round 1 is labelled 9"),
+        "label_null": ("theta", lambda d: d["rounds"][0].update(round=None), "round 1 is labelled None"),
+        "bogus_kind": ("theta", lambda d: d["outcome"].update(kind="bogus"), "unknown outcome kind"),
+        "cycle_on_solved": (
+            "theta", lambda d: d["outcome"].update(kind="adversary_cycle", round=None, period=1),
+            "outcome says adversary_cycle but every agent is a source"),
+        "solved_round_off": (
+            "theta", lambda d: d["outcome"].update(round=2), "solved outcome (round 2, period None)"),
+        "limit_on_solved": (
+            "theta", lambda d: d["outcome"].update(kind="round_limit_reached"),
+            "outcome says round_limit_reached but every agent is a source"),
+        "float_origin": (
+            "theta", lambda d: d["rounds"][0]["moves"][1].__setitem__(0, 0.0),
+            "round 1: agent 1 origin 0.0 is not a node"),
+        "float_conversion": (
+            "theta", lambda d: d["rounds"][0].update(conversions=[2.0]),
+            "round 1: conversion record mismatch"),
+        "non_bool_is_source": (
+            "theta", lambda d: d["initial"].update(is_source=[0, "yes"]), "is_source [0, 'yes']"),
+        "short_is_source": (
+            "theta", lambda d: d["initial"].update(is_source=[True]), "is_source [True]"),
+        "cycle_with_round": (
+            "cycle", lambda d: d["outcome"].update(round=2), "adversary_cycle outcome has round 2"),
+        "cycle_period_0": (
+            "cycle", lambda d: d["outcome"].update(period=0), "adversary_cycle period 0 is not in 1..2"),
+        "cycle_period_3": (
+            "cycle", lambda d: d["outcome"].update(period=3), "adversary_cycle period 3 is not in 1..2"),
+        "cycle_period_1": (
+            "cycle", lambda d: d["outcome"].update(period=1),
+            "adversary_cycle period 1: the state after round 2 is not the one after round 1"),
+        "limit_off": (
+            "cycle", lambda d: d.update(outcome={"kind": "round_limit_reached", "round": 3, "period": None}),
+            "round_limit_reached outcome (round 3, period None)"),
+    }
+
+    def simulated(self, capsys, tmp_path, which):
+        args = {
+            "theta": ["theta:2,2"],
+            "cycle": ["theta:3,3,3", "--agents", "greedy_path", "--adversary", "theta_blocker", "--k", "2"],
+        }[which]
+        dest = tmp_path / f"{which}.trace.json"
+        code, _, _ = run(capsys, "simulate", *args, "--output", str(dest))
+        assert code == (0 if which == "theta" else 2)
+        assert run(capsys, "check-trace", str(dest))[0] == 0
+        return dest
+
+    def test_bookkeeping_fixtures(self, capsys, tmp_path):
+        theta = json.loads(self.simulated(capsys, tmp_path, "theta").read_text())
+        cycle = json.loads(self.simulated(capsys, tmp_path, "cycle").read_text())
+        assert theta["outcome"] == {"kind": "solved", "round": 1, "period": None}
+        assert theta["rounds"][0]["conversions"] == [2]
+        assert cycle["outcome"] == {"kind": "adversary_cycle", "round": None, "period": 2}
+        assert len(cycle["rounds"]) == 2
+        # A round-limit outcome at the trace's round count is consistent.
+        cycle["outcome"] = {"kind": "round_limit_reached", "round": 2, "period": None}
+        dest = tmp_path / "limit.trace.json"
+        dest.write_text(json.dumps(cycle))
+        assert run(capsys, "check-trace", str(dest)) == (0, "trace ok: 2 rounds validated\n", "")
+
+    @pytest.mark.parametrize("case", BOOKKEEPING)
+    def test_contradictory_bookkeeping_fails(self, capsys, tmp_path, case):
+        which, mutate, message = self.BOOKKEEPING[case]
+        dest = self.simulated(capsys, tmp_path, which)
+        doc = json.loads(dest.read_text())
+        mutate(doc)
+        dest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-trace", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_tampered_trace_fails(self, capsys, tmp_path):
         dest = self.write_trace(capsys, tmp_path)
         doc = json.loads(dest.read_text())

@@ -300,6 +300,23 @@ class TestTraces:
         with pytest.raises(RuleViolation, match="ignorant agents remain"):
             check_trace(trace)
 
+    def test_check_trace_rejects_play_after_solved(self):
+        # Rounds after every agent became a source: the last one stays put,
+        # which would pass every per-round check.
+        trace = _ring_trace()
+        check_trace(trace)
+        stay = RoundRecord(3, frozenset(), ((2, 2), (2, 2)), ())
+        trace.rounds.append(stay)
+        trace.outcome = Outcome("solved", round=3)
+        with pytest.raises(RuleViolation, match=r"^every agent is a source after round 2, but play goes on$"):
+            check_trace(trace)
+        start = Trace(make_path(3), AgentState((0, 2), (True, True)), [], Outcome("solved", round=0))
+        check_trace(start)
+        start.rounds.append(RoundRecord(1, frozenset(), ((0, 0), (2, 2)), ()))
+        start.outcome = Outcome("solved", round=1)
+        with pytest.raises(RuleViolation, match="after round 0, but play goes on"):
+            check_trace(start)
+
     def test_byte_identical_reruns(self):
         a = trace_to_json(self.make_trace())
         b = trace_to_json(self.make_trace())
@@ -413,6 +430,58 @@ class TestRemovalErrors:
     def test_validate_removal_rejects_non_edge(self):
         with pytest.raises(GraphError):
             validate_removal(make_ring(5), [(0, 2)])
+
+
+def _ring_trace():
+    """toward_source on ring(6) from ignorant 0, source 3: the ignorant agent
+    steps to 1 while the source waits, then both step to 2 and meet."""
+    trace = simulate(
+        make_ring(6), initial_state([0], [3]), TowardSourcePolicy(), PassiveAdversary(),
+        max_rounds=10,
+    )
+    assert [(r.moves, r.conversions) for r in trace.rounds] == [
+        (((0, 1), (3, 3)), ()),
+        (((1, 2), (3, 2)), (2,)),
+    ]
+    return trace
+
+
+# Round 2 of `_ring_trace` with one field replaced, and the error
+# `check_trace` raises for it: (field, value, exception type, message).
+TAMPERED_ROUNDS = {
+    "edge_not_in_graph": (
+        "removed_edges", frozenset([(0, 2)]), GraphError, "edges not in graph: [(0, 2)]"),
+    "float_removed_endpoint": (
+        "removed_edges", frozenset([(1.0, 2)]), GraphError,
+        "removed edges must name nodes by int: [(1.0, 2)]"),
+    "disconnecting_removal": (
+        "removed_edges", frozenset([(0, 1), (3, 4)]), RuleViolation,
+        "round 2: removal disconnects the graph"),
+    "non_adjacent_move": (
+        "moves", ((1, 3), (3, 2)), RuleViolation, "round 2: agent 0 move 1->3 is not stay-or-adjacent"),
+    "non_int_target": (
+        "moves", ((1, 2.0), (3, 2)), ValueError, "position 2.0 is not a node of the graph (0..5)"),
+    # Every move names its origin, so a short move list fails the origin test.
+    "wrong_move_count": ("moves", ((1, 2),), RuleViolation, "round 2: moves do not match positions"),
+    "origins_differ": (
+        "moves", ((0, 1), (3, 2)), RuleViolation, "round 2: moves do not match positions"),
+    "conversion_mismatch": ("conversions", (), RuleViolation, "round 2: conversion record mismatch"),
+}
+
+
+class TestTamperedRounds:
+    def test_untampered_trace_passes(self):
+        check_trace(_ring_trace())
+
+    @pytest.mark.parametrize("case", TAMPERED_ROUNDS)
+    def test_check_trace_refuses_tampered_round(self, case):
+        name, value, exc_type, message = TAMPERED_ROUNDS[case]
+        trace = _ring_trace()
+        object.__setattr__(trace.rounds[1], name, value)
+        with pytest.raises(exc_type) as info:
+            check_trace(trace)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
 
 
 class _FloatTarget:

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -296,6 +297,48 @@ class TestThetaBlocker:
 LOLLIPOP_SECOND = (make_lollipop(3, 1), [0, 1, 5], [2])
 
 
+def shuffled_tree_removal(g, seed, round_index):
+    """RandomTreeAdversary's removal with its edge order drawn by
+    `random.shuffle`: the seeded sorted edges, shuffled, then Kruskal."""
+    rng = random.Random(seed * 2654435761 + round_index)
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    parent = list(range(g.node_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    removed = set()
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            removed.add((u, v))
+        else:
+            parent[ru] = rv
+    return frozenset(removed)
+
+
+class TestRandomTreeShuffle:
+    # The adversary runs Durstenfeld's shuffle inline on getrandbits; it
+    # must give the permutation random.shuffle gives for every seed.
+    @pytest.mark.parametrize(
+        "g",
+        [make_grid(5, 5), make_theta([8] * 6), make_complete(6), make_ring(7), make_path(5)],
+        ids=["grid5x5", "theta8x6", "complete6", "ring7", "path5"],
+    )
+    def test_decide_equals_random_shuffle_reference(self, g):
+        state = initial_state([1], [0])
+        for seed in range(50):
+            adv = RandomTreeAdversary(seed)
+            for round_index in range(21):
+                removed, mem = adv.decide(g, state, round_index)
+                assert mem == round_index + 1
+                assert removed == shuffled_tree_removal(g, seed, round_index)
+                assert len(g.edges) - len(removed) == g.node_count - 1
+
+
 class TestPolicyReuse:
     @pytest.mark.parametrize(
         "make",
@@ -449,6 +492,32 @@ class TestGreedyPath:
                         assert targets == networkx_greedy_targets(g, state)
                         checked += 1
         assert checked == 22595
+
+
+    @pytest.mark.parametrize(
+        "g", [make_grid(5, 5), make_grid(3, 4), make_theta([3, 3, 3])],
+        ids=["grid5x5", "grid3x4", "theta333"],
+    )
+    def test_matches_networkx_on_random_tree_survivors(self, g):
+        """Random spanning trees of g, and the same trees plus one removed
+        edge put back: every source and a seeded sample of ignorant sets."""
+        policy = GreedyPathPolicy()
+        rng = random.Random(2024)
+        checked = 0
+        for seed in range(8):
+            removed, _ = RandomTreeAdversary(seed).decide(g, None, 0)
+            extra = rng.choice(sorted(removed))
+            for survivor in (g.without(removed), g.without(removed - {extra})):
+                assert survivor.is_connected()
+                for source in survivor.nodes:
+                    others = [v for v in survivor.nodes if v != source]
+                    for _ in range(6):
+                        ignorant = rng.sample(others, rng.randint(1, 6))
+                        state = initial_state(ignorant, [source])
+                        targets, _ = policy.decide(survivor, state, None)
+                        assert targets == networkx_greedy_targets(survivor, state)
+                        checked += 1
+        assert checked == 16 * 6 * g.node_count
 
 
 class TestCliqueAndLollipop:
