@@ -237,12 +237,12 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     """
     found = g._automorphisms
     if found is None:
-        found = _automorphism_search(g)
+        found = _find_automorphisms(g)
         object.__setattr__(g, "_automorphisms", found)
     return found
 
 
-def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
+def _find_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     adj = g.adjacency()
     near = [frozenset(nbrs) for nbrs in adj]
     order: list[int] = []

@@ -31,12 +31,13 @@ from typing import Hashable
 
 from . import solver
 from .analysis import Bond, enumerate_bonds, largest_matching_bond, min_degree, vertex_connectivity
-from .engine import AgentState, initial_state, step
+from .engine import AgentState, initial_state
 from .graph import (
     Edge,
     Graph,
     GraphError,
     ThetaLayout,
+    _norm_edge,
     grid_node,
     make_complete,
     make_grid,
@@ -420,55 +421,44 @@ class IsolationTreeAdversary:
 # -- grid flip-flop adversary ---------------------------------------------------------
 
 
-def _serpentine(rows: int, cols: int) -> tuple[int, ...]:
-    """Column serpentine visiting (0,0) first: column 0 downward, column 1
-    upward, and so on."""
-    order = []
-    for c in range(cols):
-        rs = range(rows) if c % 2 == 0 else range(rows - 1, -1, -1)
-        for r in rs:
-            order.append(grid_node(rows, cols, r, c))
-    return tuple(order)
-
-
-def _path_edges(order) -> frozenset[Edge]:
-    return frozenset(
-        (min(a, b), max(a, b)) for a, b in zip(order, order[1:])
-    )
-
-
-def _hamiltonian_paths(g: Graph) -> list[tuple[int, ...]]:
-    """All Hamiltonian paths, each reported once (lower endpoint first)."""
-    n = g.node_count
-    adjacency = g.adjacency()
-    out = []
-
-    def extend(path, used):
-        if len(path) == n:
-            if path[0] < path[-1]:
-                out.append(tuple(path))
-            return
-        for w in adjacency[path[-1]]:
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                extend(path, used)
-                path.pop()
-                used.remove(w)
-
-    for v in range(n):
-        extend([v], {v})
-    return out
-
-
-MAX_FLIPFLOP_NODES = 12
-
-
 class GridFlipflopAdversary:
-    """Alternates between two serpentine spanning paths of a grid so that the
-    greedy path policy shuttles the agents back and forth forever with no
-    conversion. The partner path is found by a deterministic search validated
-    by the period-2 / zero-conversion property itself."""
+    """Alternates between two Hamiltonian paths of a grid, one Hamiltonian
+    cycle C minus one of two cuts, so that the greedy path policy shuttles
+    the agents back and forth forever with no conversion.
+
+    Construction, in a frame: the grid itself when it has 2 rows or an even
+    column count of at least 4, otherwise its transpose (which then passes
+    that test, as the node count is even). In frame coordinates (row, column)
+    with R rows and m columns, C runs along row 0 from (0,0) to (0,m-1),
+    snakes through columns m-1 down to 1 over rows 1..R-1 (column m-1
+    downward, the next upward, and so on; column 1 is walked downward, since
+    R = 2 or m is even), and returns up column 0. Memory 0 keeps C minus the
+    frame edge (0,0)-(1,0), memory 1 keeps C minus (0,1)-(0,2), and every
+    edge off C is removed in both. A rectangle with both sides at least 2
+    has a Hamiltonian cycle iff its node count is even (Itai, Papadimitriou
+    & Szwarcfiter, 1982), so other odd x odd grids are refused; 3x3 keeps
+    the pair of paths a search over its Hamiltonian paths found. A grid with
+    one row is a path, so nothing is removed and the agents swap forever.
+
+    Placement, in the grid's own coordinates: the source at (0,0), column 1
+    full of ignorant agents, and every column c >= 2 without its row 0 when
+    c is even and without row R-1 when c is odd.
+
+    Why it cycles: number C's nodes c_0 = (0,0), c_1 = (0,1), c_2 = (0,2),
+    ..., c_{N-1} = (1,0) in frame coordinates. With the single source at an
+    end of a Hamiltonian-path survivor, the farthest ignorant agent's path
+    carries every ignorant agent, so the greedy path policy moves each of
+    them and the source one step toward each other, and a conversion
+    happens iff the nearest ignorant agent is exactly 2 steps from the
+    source. Under memory 0 the source sits at c_0, an end of its path, steps
+    to c_1 and every ignorant agent steps from c_i to c_{i-1}; under memory
+    1 the source sits at c_1, an end of its path, steps back to c_0 and
+    every ignorant agent steps from c_i to c_{i+1} (indices mod N). So the
+    state repeats every 2 rounds. The node 2 steps from the source is c_2
+    under memory 0, empty in the placement (frame (0,2) is grid (0,2), or
+    (2,0) in the source's column 0), and c_{N-1} under memory 1, which only an agent that stood on
+    the source's node c_0 could reach. Hence no conversion ever happens:
+    period 2, on every grid with an even node count."""
 
     role = "adversary"
 
@@ -477,78 +467,45 @@ class GridFlipflopAdversary:
             raise ValueError("flip-flop requires a grid with more than 2x2 cells")
         if cols < 2:
             raise ValueError("flip-flop requires a grid with at least 2 columns")
-        # Larger grids are not searched: their Hamiltonian paths grow
-        # exponentially, and the serpentine alone gave no construction on any
-        # grid from 2x7 to 6x6.
-        if rows * cols > MAX_FLIPFLOP_NODES:
-            raise GraphError(
-                f"flip-flop search limited to {MAX_FLIPFLOP_NODES}-node grids, not {rows}x{cols}"
-            )
         self.rows = rows
         self.cols = cols
         self.name = f"grid_flipflop:{rows}x{cols}"
         self._grid = make_grid(rows, cols)
-        self._prepared = self._search(self._grid, rows, cols)
-
-    # -- construction ------------------------------------------------------------
-
-    @staticmethod
-    def _placements(rows: int, cols: int):
-        """Candidate placements: source at (0,0), column 1 full of ignorant
-        agents, every later column missing its top or bottom cell alternately
-        (both alternation phases are tried)."""
-        for start in (0, 1):
-            ignorant = [grid_node(rows, cols, r, 1) for r in range(rows)]
-            for c in range(2, cols):
-                skip = 0 if (c + start) % 2 == 0 else rows - 1
-                ignorant.extend(
-                    grid_node(rows, cols, r, c) for r in range(rows) if r != skip
-                )
-            yield sorted(ignorant), [grid_node(rows, cols, 0, 0)]
-
-    @classmethod
-    def _search(cls, base: Graph, rows: int, cols: int):
-        greedy = GreedyPathPolicy()
-        snake = _path_edges(_serpentine(rows, cols))
-        pool = [snake] + [
-            es for es in (_path_edges(p) for p in _hamiltonian_paths(base)) if es != snake
-        ]
-
-        def play(kept, state):
-            return step(
-                base,
-                state,
-                base.edges - kept,
-                cls._greedy_targets(base, kept, state, greedy),
+        if rows == 1:
+            self._removals = (frozenset(), frozenset())
+        elif (rows, cols) == (3, 3):
+            self._removals = (
+                frozenset({(1, 4), (3, 6), (4, 5), (4, 7)}),
+                frozenset({(1, 2), (3, 4), (4, 5), (4, 7)}),
             )
+        elif rows * cols % 2:
+            raise GraphError(
+                f"flip-flop needs an even node count: the {rows}x{cols} grid has "
+                "an odd one and no Hamiltonian cycle"
+            )
+        else:
+            self._removals = self._cuts(rows, cols)
 
-        # The alternation only needs to be periodic from round 1 on: the
-        # opening state is transient and the period-2 orbit is (s1, s2), with
-        # the first path mapping s2 back to s1. The serpentine is tried first,
-        # but any spanning-path pair satisfying the zero-conversion period-2
-        # property is accepted.
-        for ignorant, source in cls._placements(rows, cols):
-            s0 = initial_state(ignorant, source)
-            for t1_edges in pool:
-                s1, conv1 = play(t1_edges, s0)
-                if conv1:
-                    continue
-                for t2_edges in pool:
-                    s2, conv2 = play(t2_edges, s1)
-                    if conv2 or s2 == s1:
-                        continue
-                    s3, conv3 = play(t1_edges, s2)
-                    if not conv3 and s3 == s1:
-                        return s0, t1_edges, t2_edges
-        raise GraphError(
-            f"no period-2 flip-flop construction found for {rows}x{cols} grid"
+    def _cuts(self, rows: int, cols: int) -> tuple[frozenset[Edge], frozenset[Edge]]:
+        transpose = not (rows == 2 or (cols % 2 == 0 and cols >= 4))
+        height, width = (cols, rows) if transpose else (rows, cols)
+
+        def node(r, c):  # a frame cell's grid node
+            return grid_node(rows, cols, c, r) if transpose else grid_node(rows, cols, r, c)
+
+        order = [(0, c) for c in range(width)]
+        for c in range(width - 1, 0, -1):
+            rs = range(1, height) if (width - 1 - c) % 2 == 0 else range(height - 1, 0, -1)
+            order.extend((r, c) for r in rs)
+        order.extend((r, 0) for r in range(height - 1, 0, -1))
+        cycle = frozenset(
+            _norm_edge(node(*a), node(*b)) for a, b in zip(order, order[1:] + order[:1])
         )
-
-    @staticmethod
-    def _greedy_targets(base, kept_edges, state, greedy):
-        surviving = base.without(base.edges - kept_edges)
-        targets, _ = greedy.decide(surviving, state, None)
-        return targets
+        off_cycle = self._grid.edges - cycle
+        return (
+            off_cycle | {_norm_edge(node(0, 0), node(1, 0))},
+            off_cycle | {_norm_edge(node(0, 1), node(0, 2))},
+        )
 
     # -- adversary interface --------------------------------------------------------
 
@@ -558,23 +515,23 @@ class GridFlipflopAdversary:
 
     def place(self, base: Graph, k_ignorant: int, k_source: int = 1) -> AgentState:
         self._check_base(base)
-        s0, _, _ = self._prepared
-        ig = [p for p, s in zip(s0.positions, s0.is_source) if not s]
-        src = [p for p, s in zip(s0.positions, s0.is_source) if s]
-        if k_ignorant != len(ig) or k_source != len(src):
+        rows, cols = self.rows, self.cols
+        ignorant = [grid_node(rows, cols, r, 1) for r in range(rows)]
+        for c in range(2, cols):
+            skip = 0 if c % 2 == 0 else rows - 1
+            ignorant.extend(grid_node(rows, cols, r, c) for r in range(rows) if r != skip)
+        if k_ignorant != len(ignorant) or k_source != 1:
             raise ValueError(
-                f"flip-flop placement uses {len(ig)} ignorant and {len(src)} source agents"
+                f"flip-flop placement uses {len(ignorant)} ignorant and 1 source agents"
             )
-        return s0
+        return initial_state(sorted(ignorant), [0])
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
         self._check_base(base)
         return 0
 
     def decide(self, base: Graph, state: AgentState, memory: int):
-        _, t1_edges, t2_edges = self._prepared
-        kept = t1_edges if memory == 0 else t2_edges
-        return base.edges - kept, 1 - memory
+        return self._removals[memory], 1 - memory
 
 
 # -- theta broadcast: the opening phase and the phases it reaches --------------------
@@ -1172,9 +1129,9 @@ def make_policy(
     spec: str, graph: Graph | None = None, budget_states: int = solver.DEFAULT_BUDGET_STATES
 ):
     """Build a policy from a name[:params] string, e.g. "theta_broadcast",
-    "grid_flipflop:3x3", "random_tree:seed=7", "bond_blocker" (largest
-    matching bond of the given graph). Solver-backed policies build their
-    attractor within `budget_states`."""
+    "grid_flipflop:3x3" (or "grid_flipflop:3,3"), "random_tree:seed=7",
+    "bond_blocker" (largest matching bond of the given graph). Solver-backed
+    policies build their attractor within `budget_states`."""
     name, _, params = spec.partition(":")
     kv = {}
     if params and "=" in params:
@@ -1200,7 +1157,9 @@ def make_policy(
     if name == "lollipop_policy":
         return LollipopPolicy(budget_states)
     if name == "grid_flipflop":
-        rows, _, cols = params.partition("x")
+        rows, _, cols = params.replace(",", "x").partition("x")
+        if not (rows.isdecimal() and cols.isdecimal()):
+            raise ValueError(f"grid_flipflop needs a grid size, grid_flipflop:RxC, not {spec!r}")
         return GridFlipflopAdversary(int(rows), int(cols))
     if name == "bond_blocker":
         if graph is None:

@@ -308,6 +308,40 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "adversary", ["grid_flipflop", "grid_flipflop:3", "grid_flipflop:3x3x3"]
+    )
+    def test_flipflop_without_a_size_is_diagnostic(self, capsys, adversary):
+        code, out, err = run(
+            capsys,
+            "simulate", "grid:3x3",
+            "--agents", "greedy_path",
+            "--adversary", adversary,
+            "--k", "5",
+            "--placement", "adversary",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: grid_flipflop needs a grid size, grid_flipflop:RxC, not {adversary!r}\n"
+        )
+
+    def test_flipflop_size_with_a_comma(self, capsys, tmp_path):
+        played = []
+        for size in ("3x3", "3,3"):
+            trace = tmp_path / f"{size}.trace.json"
+            played.append(run(
+                capsys,
+                "simulate", "grid:3x3",
+                "--agents", "greedy_path",
+                "--adversary", f"grid_flipflop:{size}",
+                "--k", "5",
+                "--placement", "adversary",
+                "--output", str(trace),
+            ) + (trace.read_bytes(),))
+        assert played[0][0] == 2
+        assert played[1] == played[0]
+
     def test_spec_file(self, capsys, tmp_path):
         spec = {
             "graph": "path:5",

@@ -389,7 +389,7 @@ class TestPolicyReuse:
 
 
     def test_grid_flipflop_replays_its_game(self):
-        # The partner path is searched at construction and kept on the
+        # The two removals are fixed at construction and kept on the
         # instance, so a second game on the same instance, with another grid's
         # adversary built in between, replays the first trace exactly.
         g = make_grid(3, 3)
@@ -425,9 +425,101 @@ class TestGridFlipflop:
         with pytest.raises(ValueError):
             GridFlipflopAdversary(1, 3)
 
-    def test_grid_over_twelve_nodes_rejected_before_searching(self):
-        with pytest.raises(GraphError, match="12-node grids, not 4x4"):
-            GridFlipflopAdversary(4, 4)
+    @staticmethod
+    def play(rows, cols):
+        g = make_grid(rows, cols)
+        adv = GridFlipflopAdversary(rows, cols)
+        k = rows + (cols - 2) * (rows - 1)
+        return simulate(g, adv.place(g, k, 1), GreedyPathPolicy(), adv, max_rounds=10)
+
+    @staticmethod
+    def assert_flipflop(trace):
+        assert trace.outcome.kind == "adversary_cycle"
+        assert trace.outcome.period == 2
+        assert sum(len(r.conversions) for r in trace.rounds) == 0
+
+    def test_four_by_four_cycles(self):
+        self.assert_flipflop(self.play(4, 4))
+
+    @pytest.mark.parametrize("rows,cols", [(3, 5), (5, 5)])
+    def test_odd_grid_beyond_three_by_three_rejected(self, rows, cols):
+        with pytest.raises(GraphError, match=f"even node count: the {rows}x{cols} grid"):
+            GridFlipflopAdversary(rows, cols)
+
+    def test_every_even_grid_up_to_ten_by_ten_cycles(self):
+        sizes = [
+            (rows, cols)
+            for rows in range(2, 11)
+            for cols in range(2, 11)
+            if rows * cols % 2 == 0 and rows * cols >= 6
+        ]
+        assert len(sizes) == 64
+        for rows, cols in sizes:
+            self.assert_flipflop(self.play(rows, cols))
+
+    # Removals of memory 0 and memory 1, as the Hamiltonian-path search that
+    # built this adversary before the closed form chose them; the placement
+    # is the same on every grid (ignorant agents in the docstring's pattern,
+    # the source at node 0).
+    SEARCHED_REMOVALS = {
+        (2, 3): ({(0, 3), (1, 4)}, {(1, 2), (1, 4)}),
+        (2, 4): ({(0, 4), (1, 5), (2, 6)}, {(1, 2), (1, 5), (2, 6)}),
+        (2, 5): ({(0, 5), (1, 6), (2, 7), (3, 8)}, {(1, 2), (1, 6), (2, 7), (3, 8)}),
+        (2, 6): (
+            {(0, 6), (1, 7), (2, 8), (3, 9), (4, 10)},
+            {(1, 2), (1, 7), (2, 8), (3, 9), (4, 10)},
+        ),
+        (3, 2): ({(0, 1), (2, 3)}, {(2, 3), (2, 4)}),
+        (3, 4): (
+            {(0, 4), (1, 5), (2, 6), (4, 5), (6, 7), (9, 10)},
+            {(1, 2), (1, 5), (2, 6), (4, 5), (6, 7), (9, 10)},
+        ),
+        (4, 2): ({(0, 1), (2, 3), (4, 5)}, {(2, 3), (2, 4), (4, 5)}),
+        (5, 2): ({(0, 1), (2, 3), (4, 5), (6, 7)}, {(2, 3), (2, 4), (4, 5), (6, 7)}),
+        (6, 2): (
+            {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)},
+            {(2, 3), (2, 4), (4, 5), (6, 7), (8, 9)},
+        ),
+        (3, 3): ({(1, 4), (3, 6), (4, 5), (4, 7)}, {(1, 2), (3, 4), (4, 5), (4, 7)}),
+    }
+    SEARCHED_IGNORANT = {
+        (2, 3): [1, 4, 5],
+        (2, 4): [1, 3, 5, 6],
+        (2, 5): [1, 3, 6, 7, 9],
+        (2, 6): [1, 3, 5, 7, 8, 10],
+        (3, 2): [1, 3, 5],
+        (3, 4): [1, 3, 5, 6, 7, 9, 10],
+        (4, 2): [1, 3, 5, 7],
+        (5, 2): [1, 3, 5, 7, 9],
+        (6, 2): [1, 3, 5, 7, 9, 11],
+        (3, 3): [1, 4, 5, 7, 8],
+    }
+
+    @pytest.mark.parametrize("size", sorted(SEARCHED_REMOVALS))
+    def test_matches_the_searched_construction(self, size):
+        rows, cols = size
+        g = make_grid(rows, cols)
+        adv = GridFlipflopAdversary(rows, cols)
+        state = adv.place(g, len(self.SEARCHED_IGNORANT[size]), 1)
+        assert state == initial_state(self.SEARCHED_IGNORANT[size], [0])
+        memory = adv.initial_memory(g, state)
+        for want in self.SEARCHED_REMOVALS[size]:
+            removed, memory = adv.decide(g, state, memory)
+            assert removed == want
+
+    @pytest.mark.parametrize("cols", range(6, 13))
+    def test_one_row_swaps_forever(self, cols):
+        g = make_grid(1, cols)
+        adv = GridFlipflopAdversary(1, cols)
+        state = adv.place(g, 1, 1)
+        assert state == initial_state([1], [0])
+        memory = adv.initial_memory(g, state)
+        for _ in range(2):
+            removed, memory = adv.decide(g, state, memory)
+            assert removed == frozenset()
+        trace = simulate(g, state, GreedyPathPolicy(), adv, max_rounds=10)
+        self.assert_flipflop(trace)
+        assert trace.rounds[0].moves == ((1, 0), (0, 1))  # a swap, no meeting
 
 
 class TestBondBlocker:
@@ -567,6 +659,12 @@ class TestMakePolicy:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("does_not_exist")
+
+    def test_grid_flipflop_size_spec(self):
+        assert make_policy("grid_flipflop:3,4").name == "grid_flipflop:3x4"
+        for spec in ("grid_flipflop", "grid_flipflop:3", "grid_flipflop:3x3x3", "grid_flipflop:x3"):
+            with pytest.raises(ValueError, match="grid_flipflop:RxC"):
+                make_policy(spec)
 
 
 def menu_of(surviving, positions):
