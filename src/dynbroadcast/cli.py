@@ -167,13 +167,11 @@ def _frac_str(q: Fraction) -> str:
 # -- placement ---------------------------------------------------------------
 
 
-def _parse_placement(
-    text: str, g: Graph, k: int, k_source: int, agents, adversary
-) -> AgentState:
-    """Placement spec: "auto", "agents", "adversary", or explicit
+def _parse_placement(text: str, g: Graph, k: int, k_source: int, adversary) -> AgentState:
+    """Placement spec: "auto", "adversary", or explicit
     "ignorant=3+6+9,source=0". It must place exactly k ignorant agents and
     k_source sources."""
-    state = _place(text, g, k, k_source, agents, adversary)
+    state = _place(text, g, k, k_source, adversary)
     n_source = sum(state.is_source)
     if (state.total - n_source, n_source) != (k, k_source):
         raise ValueError(
@@ -183,25 +181,24 @@ def _parse_placement(
     return state
 
 
-def _place(text: str, g: Graph, k: int, k_source: int, agents, adversary) -> AgentState:
+def _place(text: str, g: Graph, k: int, k_source: int, adversary) -> AgentState:
     if text.startswith("ignorant=") or text.startswith("source="):
         kv = {}
         for part in text.split(","):
             key, _, val = part.partition("=")
             kv[key] = [int(tok) for tok in val.split("+") if tok]
         return initial_state(kv.get("ignorant", []), kv.get("source", []))
-    if text == "agents":
-        return agents.place(g, k, k_source)
+    place = getattr(adversary, "place", None)  # only adversaries place agents
     if text == "adversary":
-        return adversary.place(g, k, k_source)
+        if place is None:
+            raise ValueError(f"adversary {adversary.name} does not place agents")
+        return place(g, k, k_source)
     if text == "auto":
-        for side in (adversary, agents):
-            place = getattr(side, "place", None)
-            if place is not None:
-                try:
-                    return place(g, k, k_source)
-                except ValueError:  # the policy cannot place these agents here
-                    pass
+        if place is not None:
+            try:
+                return place(g, k, k_source)
+            except ValueError:  # the adversary cannot place these agents here
+                pass
         # Path midpoints, with the one source on the north pole. A path graph
         # is a one-path theta; it keeps the generic placement.
         layout = theta_layout(g) if k_source == 1 else None
@@ -310,9 +307,7 @@ def _run_experiment(spec: dict, budget_states: int = DEFAULT_BUDGET_STATES) -> T
     adversary = make_policy(adversary_spec, g, budget_states)
     k = spec.get("k_ignorant", 1)
     k_source = spec.get("k_source", 1)
-    state = _parse_placement(
-        spec.get("placement", "auto"), g, k, k_source, agents, adversary
-    )
+    state = _parse_placement(spec.get("placement", "auto"), g, k, k_source, adversary)
     return simulate(g, state, agents, adversary, max_rounds=spec["max_rounds"])
 
 
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", default="passive")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--k-source", type=int, default=1)
-    p.add_argument("--placement", default="auto")
+    p.add_argument("--placement", default="auto", help="auto, adversary or ignorant=A+B,source=C")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rounds", type=int, default=500)
     p.add_argument("--budget-states", type=int, default=2_000_000)

@@ -466,14 +466,10 @@ class ThetaLayout:
         return self.chains[p_idx].index(v)
 
     def step_toward(self, surviving: Graph, v: int, p_idx: int, pole: int) -> int:
-        """Next node from v along chain p_idx toward the pole, staying if the
-        edge is removed or v is already there."""
+        """Next node from v along chain p_idx toward the pole, or v if that
+        edge is removed. v must not be the pole itself."""
         chain = self.chains[p_idx]
-        i = chain.index(v)
-        j = i - 1 if pole == chain[0] else i + 1
-        if j < 0 or j >= len(chain):
-            return v
-        nxt = chain[j]
+        nxt = chain[chain.index(v) + (-1 if pole == chain[0] else 1)]
         edge = (v, nxt) if v < nxt else (nxt, v)  # `has_edge` less its self-loop check
         return nxt if edge in surviving.edges else v
 

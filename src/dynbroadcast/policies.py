@@ -19,13 +19,14 @@ survivor, so they are not; a policy without the attribute is not local.
 
 The theta strategy plays exactly one ignorant agent per internal path and
 one source, the count of the paper's constructive upper bound; it is
-model-checked from every distinct-node start on theta(2,2) and theta(3,3)
-and refuses other counts.
+model-checked from every distinct-node start on theta(1,1), (1,2), (1,3),
+(2,2), (2,3), (3,3) and (1,1,1), and refuses other counts.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from typing import Hashable
 
@@ -542,21 +543,33 @@ _PRE, _P1, _P4, _P5 = "pre", "1", "4", "5"
 
 
 class ThetaBroadcastPolicy:
-    """Winning policy for a generalized theta graph with exactly one ignorant
-    agent per internal path and one source.
+    """Policy for a generalized theta graph with exactly one ignorant agent
+    per internal path and one source.
 
     Each ignorant agent is identified with a path. The policy repeatedly
     engineers a meeting: phases funnel sources to the poles, from which two
     sources can sweep a single path end-to-end; the adversary can remove
     only one edge per path per round, so it must concede either the sweep or
-    a conversion elsewhere. Model-checked against every connected removal
-    from every distinct-node start of theta(2,2) and theta(3,3). With more
-    ignorant agents or more sources it loses from starts that `solvable`
-    wins (on theta(3,3) with three ignorant agents, from 272 of 280), so
-    `initial_memory` refuses them.
+    a conversion elsewhere. Model-checked against every connected removal,
+    it wins from every distinct-node start of theta(1,1), (1,2), (1,3),
+    (2,2), (2,3), (3,3) and (1,1,1), but on theta(1,1,3) it loses from 20
+    of 140, each with two or three ignorant agents on the long path, that
+    optimal agents win. With more ignorant agents or more sources it loses
+    from starts that `solvable` wins (on theta(3,3) with three ignorant
+    agents, from 272 of 280), so `initial_memory` refuses them.
 
-    Under that contract the opening phase (`pre`) and phases 1, 4 and 5 are
-    the only ones that run:
+    Phases: `pre` (one source) splits paths that hold two ignorant agents,
+    walks a pole source onto a path, then sweeps everyone toward the pole
+    behind the source. Phase 1 (two sources on a pole or a path) walks one
+    of a pole's pair onto a path, or a path's pair apart toward both poles.
+    Phase 4 (sources on one pole, x, and on a path) first splits a crowded
+    path if the sources on x and on empty paths are fewer than those paths;
+    if no source stands between x and an ignorant agent of its path, it
+    squeezes one between x and a source, or else splits. Then each empty
+    path gets a descender that crosses it; everyone else walks toward x.
+    Phase 5 (sources on both poles) sweeps one path from both ends.
+
+    Under the one-per-path contract only these phases run:
 
     1. With one source, `_classify` can only give `pre`: phases 1, 4 and 5
        each need two sources.
@@ -577,6 +590,31 @@ class ThetaBroadcastPolicy:
     4. Every ignorant agent plays from the start, so no subset of them is
        ever used up and replaced; once none is left the game is solved, and
        neither `simulate` nor the model checker asks for a move there.
+
+    and these fallbacks are not needed:
+
+    5. Every agent on a pole has a path in the identification whenever
+       `decide` runs: `_initial_ident` gives each one, an entry is dropped
+       only when its agent's target is an internal node, and an agent that
+       steps onto a pole from a path gets that path. So `ident_path` is
+       never None (`_step`, `crowded_paths`), and phase 5 need not give its
+       sweepers an entry: they walk its path and have one on a pole.
+    6. `_initial_ident` and `_reassign_pole_arrivals` always find a free
+       path for an ignorant agent: the others hold at most `n_paths - 1`.
+    7. `_enter_lowest_path` runs on a pole, whose edges are the first edges
+       of its paths, and the survivor is connected: one of them survives.
+    8. `_sandwich_pole` runs in `pre` (one source, by 2) with no crowded
+       path and no pole source. By 5 the ignorant agents then hold the
+       paths one each, the one source's path included.
+    9. Phase 5 starts when both poles hold a source, so every ignorant agent
+       is on an internal node (on a pole it would have converted), and by
+       4 one is left: there is a path to sweep.
+    10. `_step` walks toward the north or south pole and returns when the
+        agent stands on it, so `ThetaLayout.step_toward` stays on the chain.
+
+    Phase 4's clean-ups do run (the tests reach both from distinct-node
+    starts). No start is known that leaves an empty path without a
+    descender, but nothing above rules it out, so `elif pool` stays.
 
     Memory layout (hashable): (theta layout, phase, pole identification
     pairs, phase data, source count at the previous round).
@@ -620,8 +658,7 @@ class ThetaBroadcastPolicy:
             if s:
                 p = 0
             else:
-                free = [p for p in range(layout.n_paths) if p not in claimed]
-                p = free[0] if free else 0
+                p = next(p for p in range(layout.n_paths) if p not in claimed)
                 claimed.add(p)
             ident.append((a, p))
         return tuple(ident)
@@ -651,8 +688,7 @@ class ThetaBroadcastPolicy:
                     ident.setdefault(a, loc[0])
             elif a in ident:
                 del ident[a]
-        new_mem = (layout, phase, tuple(sorted(ident.items())), data, srcs_now)
-        return tuple(full), new_mem
+        return tuple(full), (layout, phase, tuple(sorted(ident.items())), data, srcs_now)
 
     # -- phase selection ----------------------------------------------------------------
 
@@ -703,8 +739,7 @@ class ThetaBroadcastPolicy:
         if crowded:
             for p_idx in crowded:
                 members = ctx.ignorant_on_path(p_idx)
-                members.sort(key=lambda a: (ctx.coord_of(a, p_idx), a))
-                a, b = members[0], members[1]
+                a, b = sorted(members, key=lambda a: (ctx.coord_of(a, p_idx), a))[:2]
                 targets[a] = self._step(surviving, ctx, a, layout.north)
                 targets[b] = self._step(surviving, ctx, b, layout.south)
             self._reassign_pole_arrivals(ctx, targets)
@@ -713,9 +748,8 @@ class ThetaBroadcastPolicy:
             return targets, ()
 
         # Move any pole-resident source onto a path.
-        pole_sources = ctx.pole_sources()
-        if pole_sources:
-            for a in pole_sources:
+        if ctx.pole_sources():
+            for a in ctx.pole_sources():
                 targets[a] = self._enter_lowest_path(surviving, ctx, a)
             return targets, ()
 
@@ -728,17 +762,13 @@ class ThetaBroadcastPolicy:
         return targets, ("sweep", virt_north)
 
     def _sandwich_pole(self, ctx) -> int:
-        layout = ctx.layout
-        for s in ctx.internal_sources():
-            p_idx = layout.path_of(ctx.state.positions[s])
-            mates = [a for a in ctx.ignorant() if ctx.ident_path(a) == p_idx]
-            if mates:
-                d = min(mates)
-                cs = ctx.coord_of(s, p_idx)
-                cd = ctx.coord_of(d, p_idx)
-                chain = layout.chains[p_idx]
-                return chain[0] if cs < cd else chain[-1]
-        return layout.north
+        """The pole that puts the one source between itself and the one
+        ignorant agent of the source's path (fact 8 of the class docstring)."""
+        (s,) = ctx.internal_sources()
+        p_idx = ctx.layout.path_of(ctx.state.positions[s])
+        (d,) = ctx.ignorant_on_path(p_idx)
+        chain = ctx.layout.chains[p_idx]
+        return chain[0] if ctx.coord_of(s, p_idx) < ctx.coord_of(d, p_idx) else chain[-1]
 
     def _run_phase1(self, surviving, ctx, data):
         layout = ctx.layout
@@ -746,8 +776,7 @@ class ThetaBroadcastPolicy:
         # `_check_exit` yields phase 1 only when `_classify` did, so a site exists.
         kind, where, pair = ctx.double_source_site()
         if kind == "pole":
-            mover = pair[0]
-            targets[mover] = self._enter_lowest_path(surviving, ctx, mover)
+            targets[pair[0]] = self._enter_lowest_path(surviving, ctx, pair[0])
         else:
             a, b = sorted(pair, key=lambda x: (ctx.coord_of(x, where), x))
             targets[a] = self._step(surviving, ctx, a, layout.north, path=where)
@@ -757,11 +786,9 @@ class ThetaBroadcastPolicy:
     def _run_phase4(self, surviving, ctx, data):
         layout, state = ctx.layout, ctx.state
         if not data:
-            x = next(
-                (v for v in (layout.north, layout.south) if ctx.sources_at(v)),
-                layout.north,
-            )
-            data = (x, ())
+            # Phase 4 starts with empty data only when `_classify` gave phase
+            # 4, so exactly one pole holds sources: that pole is x.
+            data = (layout.north if ctx.sources_at(layout.north) else layout.south, ())
         x, descenders = data[0], dict(data[1])
         y = layout.other_pole(x)
         if not descenders:
@@ -805,43 +832,32 @@ class ThetaBroadcastPolicy:
         return targets, data
 
     def _sandwiched_exists(self, ctx, x) -> bool:
-        layout = ctx.layout
+        """Whether some internal source stands between the x pole and an
+        ignorant agent of its path."""
+        away = 1 if x == ctx.layout.north else -1  # coordinates grow away from x
         for s in ctx.internal_sources():
-            p = layout.path_of(ctx.state.positions[s])
+            p = ctx.layout.path_of(ctx.state.positions[s])
             cs = ctx.coord_of(s, p)
-            for a in ctx.ignorant():
-                if ctx.ident_path(a) == p:
-                    ca = ctx.coord_of(a, p)
-                    if (x == layout.north and ca > cs) or (
-                        x == layout.south and ca < cs
-                    ):
-                        return True
+            if any(away * (ctx.coord_of(a, p) - cs) > 0 for a in ctx.ignorant_on_path(p)):
+                return True
         return False
 
-    def _squeeze(self, ctx_surviving, ctx, x):
-        """If an ignorant agent sits between the x-pole source and an internal
-        source on one path, close in from both sides."""
-        surviving = ctx_surviving
+    def _squeeze(self, surviving, ctx, x):
+        """If an ignorant agent stands between the x pole and an internal
+        source of its path, close in on it from both sides."""
         layout = ctx.layout
         for s in ctx.internal_sources():
             p = layout.path_of(ctx.state.positions[s])
-            cs = ctx.coord_of(s, p)
             cx = 0 if x == layout.north else len(layout.chains[p]) - 1
-            for a in ctx.ignorant():
-                if ctx.ident_path(a) != p:
-                    continue
-                ca = ctx.coord_of(a, p)
-                if min(cs, cx) < ca < max(cs, cx):
-                    targets = {}
-                    targets[s] = self._step(surviving, ctx, s, x, path=p)
-                    pole_srcs = ctx.sources_at(x)
-                    if pole_srcs:
-                        m = min(pole_srcs)
-                        ctx.ident[m] = p
-                        targets[m] = self._step(
-                            surviving, ctx, m, layout.other_pole(x), path=p
-                        )
-                    return targets
+            lo, hi = sorted((ctx.coord_of(s, p), cx))
+            if any(lo < ctx.coord_of(a, p) < hi for a in ctx.ignorant_on_path(p)):
+                targets = {s: self._step(surviving, ctx, s, x, path=p)}
+                pole_srcs = ctx.sources_at(x)
+                if pole_srcs:
+                    m = min(pole_srcs)
+                    ctx.ident[m] = p
+                    targets[m] = self._step(surviving, ctx, m, layout.other_pole(x), path=p)
+                return targets
         return None
 
     def _split_crowded(self, surviving, ctx, exclude_pole):
@@ -864,25 +880,14 @@ class ThetaBroadcastPolicy:
     def _run_phase5(self, surviving, ctx, data):
         layout = ctx.layout
         if not data:
-            target = None
-            for p_idx in range(layout.n_paths):
-                if any(
-                    ctx.ident_path(a) == p_idx
-                    and not layout.is_pole(ctx.state.positions[a])
-                    for a in ctx.ignorant()
-                ):
-                    target = p_idx
-                    break
-            if target is None:
-                target = 0
-            # Phase 5 starts with empty data only when `_classify` gave phase
-            # 5, so both poles hold a source.
+            # Both poles hold a source (phase 5 starts with empty data only
+            # when `_classify` gave it), so by fact 9 every ignorant agent, at
+            # least one, stands on a path: sweep the lowest such path.
+            target = min(ctx.ident_path(a) for a in ctx.ignorant())
             sn = min(ctx.sources_at(layout.north))
             ss = min(ctx.sources_at(layout.south))
             data = (target, sn, ss)
         target, sn, ss = data
-        ctx.ident.setdefault(sn, target)
-        ctx.ident.setdefault(ss, target)
         return {
             sn: self._step(surviving, ctx, sn, layout.south, path=target),
             ss: self._step(surviving, ctx, ss, layout.north, path=target),
@@ -891,36 +896,28 @@ class ThetaBroadcastPolicy:
     # -- movement helpers ------------------------------------------------------------------
 
     def _step(self, surviving, ctx, a, pole, path=None):
-        layout = ctx.layout
         pos = ctx.state.positions[a]
         if pos == pole:
             return pos
         p_idx = path if path is not None else ctx.ident_path(a)
-        if p_idx is None:
-            return pos
-        return layout.step_toward(surviving, pos, p_idx, pole)
+        return ctx.layout.step_toward(surviving, pos, p_idx, pole)
 
     def _enter_lowest_path(self, surviving, ctx, a):
         """From a pole, step onto the lowest-index path whose first edge
-        survives."""
-        layout = ctx.layout
+        survives; one does (fact 7 of the class docstring)."""
         pos = ctx.state.positions[a]
-        for p_idx in range(layout.n_paths):
-            chain = layout.chains[p_idx]
+        for p_idx, chain in enumerate(ctx.layout.chains):
             nxt = chain[1] if pos == chain[0] else chain[-2]
             if surviving.has_edge(pos, nxt):
                 ctx.ident[a] = p_idx
                 return nxt
-        return pos
 
     def _reassign_pole_arrivals(self, ctx, targets):
         layout = ctx.layout
         for a, t in list(targets.items()):
             if layout.is_pole(t) and not ctx.state.is_source[a]:
                 taken = {ctx.ident_path(b) for b in ctx.ignorant() if b != a}
-                free = [p for p in range(layout.n_paths) if p not in taken]
-                if free:
-                    ctx.ident[a] = free[0]
+                ctx.ident[a] = next(p for p in range(layout.n_paths) if p not in taken)
 
     _HANDLERS = {
         _PRE: _run_pre,
@@ -991,11 +988,7 @@ class _ThetaContext:
         return self._internal_by_path.get(p_idx, [])
 
     def crowded_paths(self) -> list[int]:
-        counts: dict[int, int] = {}
-        for a in self._ignorant:
-            p = self.ident_path(a)
-            if p is not None:
-                counts[p] = counts.get(p, 0) + 1
+        counts = Counter(self.ident_path(a) for a in self._ignorant)
         return sorted(p for p, c in counts.items() if c >= 2)
 
     def ignorant_on_path(self, p_idx: int) -> list[int]:
@@ -1125,29 +1118,44 @@ class LollipopPolicy:
 # -- CLI-facing registry -----------------------------------------------------------------
 
 
+def _int_param(spec: str, key: str, form: str, bare: bool = False) -> int | None:
+    """The integer of `spec` = "name:key=N" (or "name:N" when `bare`), None
+    without a parameter; any other key or value is a ValueError naming `form`."""
+    name, _, params = spec.partition(":")
+    given, eq, value = params.partition("=")
+    if bare and not eq:
+        given, value = key, params
+    if not params:
+        return None
+    if given == key and value.removeprefix("-").isdecimal():
+        return int(value)
+    raise ValueError(f"{name} takes {form}, not {spec!r}")
+
+
 def make_policy(
     spec: str, graph: Graph | None = None, budget_states: int = solver.DEFAULT_BUDGET_STATES
 ):
-    """Build a policy from a name[:params] string, e.g. "theta_broadcast",
-    "grid_flipflop:3x3" (or "grid_flipflop:3,3"), "random_tree:seed=7",
-    "bond_blocker" (largest matching bond of the given graph). Solver-backed
-    policies build their attractor within `budget_states`."""
+    """Build a policy from a name[:params] string, e.g. "theta_broadcast" (or
+    "theta_broadcast:k=3"), "grid_flipflop:3x3" (or "grid_flipflop:3,3"),
+    "random_tree:seed=7" (or "random_tree:7"), "bond_blocker" (largest
+    matching bond of the given graph). A malformed parameter is a ValueError
+    that names the spec. Solver-backed policies build their attractor within
+    `budget_states`."""
     name, _, params = spec.partition(":")
-    kv = {}
-    if params and "=" in params:
-        for part in params.split(","):
-            key, _, val = part.partition("=")
-            kv[key] = val
     if name == "passive":
         return PassiveAdversary()
     if name == "random_tree":
-        return RandomTreeAdversary(int(kv.get("seed", params or 0)))
+        seed = _int_param(
+            spec, "seed", "an integer seed, random_tree:seed=N or random_tree:N", bare=True
+        )
+        return RandomTreeAdversary(0 if seed is None else seed)
     if name == "toward_source":
         return TowardSourcePolicy()
     if name == "greedy_path":
         return GreedyPathPolicy()
     if name == "theta_broadcast":
-        return ThetaBroadcastPolicy(int(kv["k"]) if "k" in kv else None)
+        k = _int_param(spec, "k", "an integer agent count, theta_broadcast:k=N")
+        return ThetaBroadcastPolicy(k)
     if name == "theta_blocker":
         return ThetaBlocker()
     if name == "isolation_tree":

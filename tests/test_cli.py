@@ -161,16 +161,15 @@ class TestAnalyze:
 
 class TestSimulate:
     def test_solved_exit_zero(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys,
-            "simulate", "path:9",
-            "--agents", "toward_source",
-            "--adversary", "passive",
-            "--placement", "ignorant=0,source=8",
-            "--output", str(tmp_path / "t.trace.json"),
-        )
+        argv = ["simulate", "path:9", "--agents", "toward_source", "--adversary", "passive"]
+        trace = str(tmp_path / "t.trace.json")
+        code, out, _ = run(capsys, *argv, "--placement", "ignorant=0,source=8", "--output", trace)
         assert code == 0
-        assert "outcome=solved" in out
+        assert out == "outcome=solved round 4 rounds_played=4 conversions=1\n"
+        # Every agent starts as a source: solved before the first round.
+        code, out, _ = run(capsys, *argv, "--k", "0", "--placement", "source=8", "--output", trace)
+        assert code == 0
+        assert out == "outcome=solved round 0 rounds_played=0 conversions=0\n"
 
     def test_cycle_exit_two(self, capsys):
         code, out, _ = run(
@@ -341,6 +340,40 @@ class TestSimulate:
             ) + (trace.read_bytes(),))
         assert played[0][0] == 2
         assert played[1] == played[0]
+
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--adversary", "random_tree:seed=x"),
+            ("--adversary", "random_tree:speed=3"),
+            ("--agents", "theta_broadcast:k=two"),
+        ],
+    )
+    def test_malformed_policy_parameter_is_diagnostic(self, capsys, flag, spec):
+        form = {
+            "random_tree": "an integer seed, random_tree:seed=N or random_tree:N",
+            "theta_broadcast": "an integer agent count, theta_broadcast:k=N",
+        }
+        name = spec.partition(":")[0]
+        code, out, err = run(capsys, "simulate", "path:5", flag, spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} takes {form[name]}, not {spec!r}\n"
+
+    def test_agents_placement_is_unknown(self, capsys):
+        # No agent policy places agents, so "agents" is not a placement.
+        code, out, err = run(
+            capsys,
+            "simulate", "grid:3x3",
+            "--agents", "greedy_path",
+            "--adversary", "grid_flipflop:3x3",
+            "--k", "5",
+            "--placement", "agents",
+        )
+        assert (code, out, err) == (1, "", "error: unknown placement 'agents'\n")
+
+    def test_adversary_placement_needs_a_placing_adversary(self, capsys):
+        code, out, err = run(capsys, "simulate", "path:5", "--placement", "adversary")
+        assert (code, out, err) == (1, "", "error: adversary passive does not place agents\n")
 
     def test_spec_file(self, capsys, tmp_path):
         spec = {

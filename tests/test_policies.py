@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -139,12 +140,23 @@ class TestThetaBroadcast:
         assert res.decide_calls < ref.decide_calls
 
     @pytest.mark.parametrize(
-        "ds, starts, rounds", [([2, 2], 60, 12), ([3, 3], 168, 18)], ids=["theta22", "theta33"]
+        "ds, starts, rounds",
+        [
+            ([1, 1], 12, 7),
+            ([1, 2], 30, 11),
+            ([1, 3], 60, 14),
+            ([2, 2], 60, 12),
+            ([2, 3], 105, 15),
+            ([3, 3], 168, 18),
+            ([1, 1, 1], 20, 12),
+        ],
+        ids=["theta11", "theta12", "theta13", "theta22", "theta23", "theta33", "theta111"],
     )
     def test_wins_from_every_start(self, ds, starts, rounds):
         # One ignorant agent per path and one source on any distinct nodes,
         # against the optimal adversary: the agents win from every start,
-        # within `rounds`.
+        # within `rounds`. Paths of one internal node and uneven paths put
+        # agents next to a pole more often than theta(2,2) and theta(3,3) do.
         g = make_theta(ds)
         results = []
         for source in range(g.node_count):
@@ -155,6 +167,54 @@ class TestThetaBroadcast:
         assert len(results) == starts
         assert {r.winner for r in results} == {"agents"}
         assert max(r.optimal_rounds for r in results) == rounds
+
+    def test_phase4_splits_a_crowded_path_before_descending(self, monkeypatch):
+        # Three ignorant agents on path 0 of theta(4,4,4) behind the source:
+        # the first conversion leaves two of them on path 0 when phase 4
+        # starts, with too few sources to descend every empty path, so
+        # clean-up 1 splits path 0. Clean-up 2 splits only when no source is
+        # sandwiched between the x pole and an ignorant agent, so a split
+        # made while one is comes from clean-up 1.
+        splits = []
+        split_crowded = ThetaBroadcastPolicy._split_crowded
+
+        def spy(self, surviving, ctx, exclude_pole):
+            moves = split_crowded(self, surviving, ctx, exclude_pole)
+            if moves:
+                splits.append(self._sandwiched_exists(ctx, exclude_pole))
+            return moves
+
+        monkeypatch.setattr(ThetaBroadcastPolicy, "_split_crowded", spy)
+        g = make_theta([4, 4, 4])
+        path0 = g.family.labels["paths"][0]  # north, then coordinates 1..4, south
+        state = initial_state(path0[2:5], [path0[1]])
+        trace = simulate(g, state, ThetaBroadcastPolicy(k=3), PassiveAdversary(), max_rounds=50)
+        assert (trace.outcome.kind, trace.outcome.round) == ("solved", 14)
+        assert True in splits
+
+    def test_phase4_squeezes_an_ignorant_agent(self, monkeypatch):
+        # On theta(1,1,5), from one source and two ignorant agents on the long
+        # path and one on the south pole, random tree 3 lets phase 4 find an
+        # ignorant agent between the x pole and an internal source:
+        # `_squeeze` closes in on it from both sides.
+        squeezes = []
+        squeeze = ThetaBroadcastPolicy._squeeze
+
+        def spy(self, surviving, ctx, x):
+            moves = squeeze(self, surviving, ctx, x)
+            squeezes.append(moves)
+            return moves
+
+        monkeypatch.setattr(ThetaBroadcastPolicy, "_squeeze", spy)
+        g = make_theta([1, 1, 5])
+        lab = g.family.labels
+        long_path = lab["paths"][2]
+        state = initial_state([lab["south"], long_path[3], long_path[4]], [long_path[1]])
+        trace = simulate(
+            g, state, ThetaBroadcastPolicy(k=3), RandomTreeAdversary(seed=3), max_rounds=50
+        )
+        assert (trace.outcome.kind, trace.outcome.round) == ("solved", 17)
+        assert any(squeezes)
 
     @pytest.mark.parametrize(
         "ignorant, sources", [(3, 1), (2, 2)], ids=["extra_ignorant", "two_sources"]
@@ -664,6 +724,24 @@ class TestMakePolicy:
         assert make_policy("grid_flipflop:3,4").name == "grid_flipflop:3x4"
         for spec in ("grid_flipflop", "grid_flipflop:3", "grid_flipflop:3x3x3", "grid_flipflop:x3"):
             with pytest.raises(ValueError, match="grid_flipflop:RxC"):
+                make_policy(spec)
+
+    def test_integer_parameters(self):
+        assert make_policy("random_tree:7").name == make_policy("random_tree:seed=7").name
+        assert make_policy("random_tree").name == "random_tree:seed=0"
+        assert make_policy("theta_broadcast:k=3").k == 3
+        assert make_policy("theta_broadcast").k is None
+        random_tree = "an integer seed, random_tree:seed=N or random_tree:N, not "
+        theta = "an integer agent count, theta_broadcast:k=N, not "
+        for spec, form in (
+            ("random_tree:seed=x", random_tree),
+            ("random_tree:speed=3", random_tree),
+            ("random_tree:seed=4,speed=3", random_tree),
+            ("theta_broadcast:k=two", theta),
+            ("theta_broadcast:n=3", theta),
+            ("theta_broadcast:3", theta),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{form}{spec!r}")):
                 make_policy(spec)
 
 
