@@ -566,7 +566,10 @@ class ThetaBroadcastPolicy:
     path if the sources on x and on empty paths are fewer than those paths;
     if no source stands between x and an ignorant agent of its path, it
     squeezes one between x and a source, or else splits. Then each empty
-    path gets a descender that crosses it; everyone else walks toward x.
+    path gets a descender to cross it, a source on it or else one from x
+    while x has any: two sources on one empty path count twice in the first
+    test but cross once, so a path can go without (tests reach each of these
+    branches). Everyone else walks toward x.
     Phase 5 (sources on both poles) sweeps one path from both ends.
 
     Under the one-per-path contract only these phases run:
@@ -611,10 +614,6 @@ class ThetaBroadcastPolicy:
        4 one is left: there is a path to sweep.
     10. `_step` walks toward the north or south pole and returns when the
         agent stands on it, so `ThetaLayout.step_toward` stays on the chain.
-
-    Phase 4's clean-ups do run (the tests reach both from distinct-node
-    starts). No start is known that leaves an empty path without a
-    descender, but nothing above rules it out, so `elif pool` stays.
 
     Memory layout (hashable): (theta layout, phase, pole identification
     pairs, phase data, source count at the previous round).

@@ -216,6 +216,44 @@ class TestThetaBroadcast:
         assert (trace.outcome.kind, trace.outcome.round) == ("solved", 17)
         assert any(squeezes)
 
+    def test_phase4_descenders_can_miss_an_empty_path(self, monkeypatch):
+        # Clean-up 1 counts each source on an empty path as a crosser, but the
+        # descender loop sends one per path. On theta(1,2,4,1) (paths 0-2-1,
+        # 0-3-4-1, 0-5-6-7-8-1 and 0-9-1), six removals lead to a round-7
+        # phase-4 state with one source on the north pole and two on node 4
+        # of empty path 1: path 1 keeps one of them and path 0 gets the pole
+        # source, so empty path 3 gets no descender (`elif pool` is false).
+        script = [[(1, 8)], [(1, 8)], [], [(0, 9)], [(0, 5), (0, 9), (3, 4)], [(0, 3)]]
+
+        class Script:
+            role = "adversary"
+            name = "script"
+
+            def initial_memory(self, base, state):
+                return 0
+
+            def decide(self, base, state, memory):
+                removed = script[memory] if memory < len(script) else []
+                return frozenset(removed), memory + 1
+
+        missed = []
+        run_phase4 = ThetaBroadcastPolicy._run_phase4
+
+        def spy(self, surviving, ctx, data):
+            empty = ctx.empty_paths()
+            targets, (x, descenders) = run_phase4(self, surviving, ctx, data)
+            if descenders and not (data and data[1]):  # descenders chosen this round
+                missed.append(sorted(set(empty) - {p for _, p in descenders}))
+            return targets, (x, descenders)
+
+        monkeypatch.setitem(ThetaBroadcastPolicy._HANDLERS, policies._P4, spy)
+        g = make_theta([1, 2, 4, 1])
+        state = initial_state([8, 0, 7, 1], [5])
+        trace = simulate(g, state, ThetaBroadcastPolicy(k=4), Script(), max_rounds=50)
+        assert (trace.outcome.kind, trace.outcome.round) == ("solved", 8)
+        assert tuple(before for before, _ in trace.rounds[6].moves) == (6, 4, 0, 4, 5)
+        assert missed == [[], [3]]
+
     @pytest.mark.parametrize(
         "ignorant, sources", [(3, 1), (2, 2)], ids=["extra_ignorant", "two_sources"]
     )
