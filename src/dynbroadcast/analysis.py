@@ -196,12 +196,6 @@ def timing_bounds(n: int, x: int, y: int) -> TimingBounds:
     )
 
 
-def tree_meeting_bound(diameter: int) -> int:
-    """Rounds for two agents walking toward each other on a tree of the given
-    diameter (edges cannot be removed from a tree)."""
-    return ceil(diameter / 2)
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     kind: str

@@ -538,8 +538,10 @@ class GridFlipflopAdversary:
 # -- theta broadcast: the opening phase and the phases it reaches --------------------
 
 # Phases 2 and 3 of the five-phase algorithm never run under this policy's
-# contract (see its docstring), so they have no label.
-_PRE, _P1, _P4, _P5 = "pre", "1", "4", "5"
+# contract (see its docstring), so they have no label. A phase's label is the
+# name of its handler method, looked up on the policy each round, so an
+# override or a patch of the handler takes effect.
+_PRE, _P1, _P4, _P5 = "_run_pre", "_run_phase1", "_run_phase4", "_run_phase5"
 
 
 class ThetaBroadcastPolicy:
@@ -675,7 +677,7 @@ class ThetaBroadcastPolicy:
         if phase is None or srcs_now > prev_srcs:
             phase, data = cls, ()
         phase, data = self._check_exit(ctx, cls, phase, data)
-        targets, data = self._HANDLERS[phase](self, surviving, ctx, data)
+        targets, data = getattr(self, phase)(surviving, ctx, data)
 
         full = list(state.positions)
         for a, t in targets.items():
@@ -918,13 +920,6 @@ class ThetaBroadcastPolicy:
                 taken = {ctx.ident_path(b) for b in ctx.ignorant() if b != a}
                 ctx.ident[a] = next(p for p in range(layout.n_paths) if p not in taken)
 
-    _HANDLERS = {
-        _PRE: _run_pre,
-        _P1: _run_phase1,
-        _P4: _run_phase4,
-        _P5: _run_phase5,
-    }
-
 
 class _ThetaContext:
     """Read-mostly view of one round's configuration for the theta policy.
@@ -1131,16 +1126,25 @@ def _int_param(spec: str, key: str, form: str, bare: bool = False) -> int | None
     raise ValueError(f"{name} takes {form}, not {spec!r}")
 
 
+_PLAIN_POLICIES = (
+    "passive", "toward_source", "greedy_path", "theta_blocker", "isolation_tree",
+    "clique_policy", "lollipop_policy", "bond_blocker",
+)
+
+
 def make_policy(
     spec: str, graph: Graph | None = None, budget_states: int = solver.DEFAULT_BUDGET_STATES
 ):
     """Build a policy from a name[:params] string, e.g. "theta_broadcast" (or
     "theta_broadcast:k=3"), "grid_flipflop:3x3" (or "grid_flipflop:3,3"),
     "random_tree:seed=7" (or "random_tree:7"), "bond_blocker" (largest
-    matching bond of the given graph). A malformed parameter is a ValueError
-    that names the spec. Solver-backed policies build their attractor within
+    matching bond of the given graph). A malformed parameter, or any
+    parameter on a policy that takes none, is a ValueError that names the
+    spec. Solver-backed policies build their attractor within
     `budget_states`."""
-    name, _, params = spec.partition(":")
+    name, colon, params = spec.partition(":")
+    if colon and name in _PLAIN_POLICIES:
+        raise ValueError(f"{name} takes no parameter, not {spec!r}")
     if name == "passive":
         return PassiveAdversary()
     if name == "random_tree":

@@ -25,28 +25,26 @@ Three questions are asked of such graphs:
   the goal is "no ignorant agent";
 - `game_value(..., "first_new_source")`: the same graph, with the goal "fewer
   ignorant agents than at the start";
-- `model_check_policy`: the nodes are (agent state, policy memory) pairs
-  reached from the start. A fixed agent policy gives one single-successor
-  branch per call of its `decide`; a fixed adversary gives one branch
-  holding every joint move, and its removal must leave the graph connected,
-  as in `simulate`. A fixed-agent check's time is set by those calls, not
-  by the fixpoint. A policy that declares `local = True` reads the survivor
-  only through its menu at the occupied nodes (see below and `policies`):
-  equal menus give equal replies, hence equal successors, so it is called
-  once per distinct menu, and the adversary's set of distinct successors at
-  every node is unchanged. The removals are grouped by menu once per
-  distinct occupied set. Any other policy is called once per removal.
-  Every reply is checked for legality over the survivor it was given, and
-  each distinct target tuple at a node is moved and converted once. Against
+- `model_check_policy`: the nodes are flat (positions, is_source, memory)
+  tuples reached from the start. A fixed agent policy gives one
+  single-successor branch per call of its `decide`; a fixed adversary gives
+  one branch holding every joint move, and its removal must leave the graph
+  connected, as in `simulate`. A fixed-agent check's time is set by those
+  calls, not by the fixpoint. A policy that declares `local = True` reads the
+  survivor only through its menu at the occupied nodes (see below and
+  `policies`): equal menus give equal replies, hence equal successors, so it
+  is called once per distinct menu, and the adversary's set of distinct
+  successors at every node is unchanged. The removals are grouped by menu once
+  per distinct occupied set. Any other policy is called once per removal.
+  Every reply is checked for legality over the survivor it was given. Against
   a fixed adversary, the surviving adjacency of each connected removal is
-  built once per check; a removal that disconnects the graph is never
-  stored, so it always raises. An agent's options are its node and its
-  surviving neighbours, and an ignorant agent converts only on a node a
-  source moves to. So when no ignorant agent's options meet any source's
-  options, no joint move converts anyone: every successor keeps the
-  classes `state.is_source`, and the conversion rule is not run per move.
-  Otherwise each joint move goes through `_convert`. Either way the
-  successors and their order are the same.
+  built once per check; a removal that disconnects the graph is never stored,
+  so it always raises. An agent's options are its node and its surviving
+  neighbours, and an ignorant agent converts only on a node a source moves to.
+  So when no ignorant agent's options meet any source's options, no joint move
+  converts anyone: every successor keeps the classes `state.is_source`, and
+  the conversion rule is not run per move. Otherwise each joint move goes
+  through `_convert`. Either way the successors and their order are the same.
   Against a fixed agent policy the removals are always every connected
   removal (`connected_removals`): the spanning-tree reduction below is
   unsound against a fixed agent policy, which may react to the exact
@@ -292,15 +290,16 @@ def _minimal_menu_survivors(g: Graph, occupied: frozenset[int]) -> list[frozense
     return [kept.union(menu) for menu in menus]
 
 
-def _class_targets(ms: tuple[int, ...], adj) -> set[tuple[int, ...]]:
-    """The distinct sorted multisets a class of agents at `ms` can move to,
-    each agent staying or crossing one edge of a surviving graph with
-    adjacency `adj`."""
-    reach: set[tuple[int, ...]] = {()}
-    for v in ms:
-        options = (v,) + adj[v]
-        reach = {tuple(sorted(rest + (t,))) for rest in reach for t in options}
-    return reach
+def _class_moves(positions: Sequence[int], adj) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each sorted target multiset of a class of agents at `positions`, every
+    agent staying or crossing one edge of a survivor with adjacency `adj`,
+    mapped to the least labelled target tuple that reaches it. `product` over
+    sorted options runs in lexicographic order, so the first tuple seen for a
+    multiset is the least."""
+    moves: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for targets in product(*(sorted((p,) + adj[p]) for p in positions)):
+        moves.setdefault(tuple(sorted(targets)), targets)
+    return moves
 
 
 # -- the game graph and its one fixpoint -----------------------------------------
@@ -935,10 +934,14 @@ class SolvedAgentPolicy:
     minimal menu, so a rank-decreasing move always exists from a winning state.
 
     The successor depends only on the two target multisets, so the moves are
-    split by class: each class's labelled target tuples are grouped by their
-    sorted tuple, ranks are looked up once per pair of multisets, and full
-    target tuples are built only for the pairs of minimal rank. It reads the
-    survivor only through the edges at occupied nodes, so it is local.
+    split by class (`_class_moves`), and ranks are looked up once per pair of
+    multisets. Each class keeps only its least labelled tuple per multiset,
+    and that suffices: the classes hold disjoint agent ids, so two full tuples
+    for one pair of multisets first differ at an agent whose own class's
+    tuples first differ there too. Hence the least full tuple for a pair joins
+    each class's least tuple, and the reply is the least such join over the
+    pairs of least rank. It reads the survivor only through the edges at
+    occupied nodes, so it is local.
     """
 
     role = "agents"
@@ -952,23 +955,15 @@ class SolvedAgentPolicy:
         return None
 
     def decide(self, surviving: Graph, state: AgentState, memory: Hashable):
-        adj = surviving.adjacency()
+        adj, positions = surviving.adjacency(), state.positions
         ig_ids = [a for a, s in enumerate(state.is_source) if not s]
         src_ids = [a for a, s in enumerate(state.is_source) if s]
-
-        def by_multiset(ids: list[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-            """The class's labelled target tuples, grouped by their sorted tuple."""
-            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for targets in product(*((p,) + adj[p] for p in (state.positions[a] for a in ids))):
-                groups.setdefault(tuple(sorted(targets)), []).append(targets)
-            return groups
-
-        ig_groups, src_groups = by_multiset(ig_ids), by_multiset(src_ids)
-        rank = self.attractor.rank
-        best_r, best_pairs = None, []
-        for src in src_groups:
+        ig_moves = _class_moves([positions[a] for a in ig_ids], adj)
+        src_moves = _class_moves([positions[a] for a in src_ids], adj)
+        rank, best_r, best = self.attractor.rank, None, []
+        for src, src_t in src_moves.items():
             here = set(src)
-            for ig in ig_groups:
+            for ig, ig_t in ig_moves.items():
                 # A Configuration hashes and compares as its plain tuple.
                 if here.isdisjoint(ig):
                     r = rank.get((ig, src))
@@ -979,23 +974,14 @@ class SolvedAgentPolicy:
                 if r is None or (best_r is not None and r > best_r):
                     continue
                 if r != best_r:
-                    best_r, best_pairs = r, []
-                best_pairs.append((src, ig))
+                    best_r, best = r, []
+                best.append(src_t + ig_t)
         if best_r is None:
-            return state.positions, None  # not a winning state; stand still
-        full, labels = list(state.positions), src_ids + ig_ids
-
-        def joined(src_t: tuple[int, ...], ig_t: tuple[int, ...]) -> tuple[int, ...]:
-            for a, t in zip(labels, src_t + ig_t):
-                full[a] = t
-            return tuple(full)
-
-        return min(
-            joined(src_t, ig_t)
-            for src, ig in best_pairs
-            for src_t in src_groups[src]
-            for ig_t in ig_groups[ig]
-        ), None
+            return positions, None  # not a winning state; stand still
+        # Agent a's target sits at slot[a] of a source tuple joined to an
+        # ignorant one.
+        slot = sorted(range(len(positions)), key=(src_ids + ig_ids).__getitem__)
+        return min(tuple(map(t.__getitem__, slot)) for t in best), None
 
 
 class SolvedAdversaryPolicy:
@@ -1026,10 +1012,10 @@ class SolvedAdversaryPolicy:
             return frozenset(), None  # agent-winning state; nothing to defend
         for survivor in _minimal_menu_survivors(base, frozenset(state.positions)):
             adj = Graph(base.node_count, survivor).adjacency()
-            sources = _class_targets(config.source, adj)
+            sources = _class_moves(config.source, adj)
             if not any(
                 canonical_after_conversion(a, c) in rank
-                for a in _class_targets(config.ignorant, adj)
+                for a in _class_moves(config.ignorant, adj)
                 for c in sources
             ):
                 return base.edges - survivor, None
@@ -1069,6 +1055,13 @@ def model_check_policy(
     local one (`local = True`) is asked once per distinct menu among them; a
     fixed adversary's removal raises `RuleViolation` if it disconnects the
     graph. See `SolverResult` for the counts.
+
+    A node is the flat tuple (positions, is_source, memory): the labelled
+    agents' nodes and classes after conversion, and the fixed policy's
+    memory. Each side's `expand` returns a node's successor nodes, and one
+    `AgentState` is built per expanded node. Against a fixed agent policy
+    each reply is its own branch; against a fixed adversary all joint moves
+    form one branch.
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
@@ -1096,26 +1089,21 @@ def model_check_policy(
                 reps = by_occupied[occupied] = list(by_menu.values())
             return reps
 
-        def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
-            # One branch per representative survivor, holding the policy's
-            # single reply. Every reply is checked; each distinct target tuple
-            # is moved once.
-            out, moved = [], {}
+        def expand(state: AgentState, mem: Hashable) -> list[tuple]:
+            # The policy's reply over each representative survivor; every
+            # reply is checked.
+            out = []
             for surviving in representatives(state.positions):
                 targets, mem2 = fixed.decide(surviving, state, mem)
                 _check_moves(surviving.neighbour_masks(), state.positions, targets)
-                nxt = moved.get(targets)
-                if nxt is None:
-                    new_cls = _convert(targets, state.is_source)[0]
-                    nxt = moved[targets] = AgentState(targets, new_cls)
-                out.append([(nxt, mem2)])
+                out.append((targets, _convert(targets, state.is_source)[0], mem2))
             return out
 
     else:
         adjacency: dict[frozenset[Edge], tuple] = {}  # connected removals seen
 
-        def expand(state: AgentState, mem: Hashable) -> list[list[tuple]]:
-            # One branch, holding every joint move against the policy's removal.
+        def expand(state: AgentState, mem: Hashable) -> list[tuple]:
+            # Every joint move against the policy's removal.
             removed, mem2 = fixed.decide(g, state, mem)
             adj = adjacency.get(removed)
             if adj is None:  # a disconnecting removal raises here, each time
@@ -1125,35 +1113,38 @@ def model_check_policy(
             reach = {t for opts, s in zip(options, cls) if s for t in opts}
             moves = product(*options)
             if all(reach.isdisjoint(opts) for opts, s in zip(options, cls) if not s):
-                return [[(AgentState(t, cls), mem2) for t in moves]]  # nobody converts
-            return [[(AgentState(t, _convert(t, cls)[0]), mem2) for t in moves]]
+                return [(t, cls, mem2) for t in moves]  # nobody converts
+            return [(t, _convert(t, cls)[0], mem2) for t in moves]
 
-    # Depth-first exploration of (state, memory) nodes, numbered on discovery.
-    start = (initial, fixed.initial_memory(g, initial))
+    # Depth-first exploration of flat (positions, is_source, memory) nodes,
+    # numbered on discovery.
+    start = (initial.positions, initial.is_source, fixed.initial_memory(g, initial))
     ids = {start: 0}
     solved: list[int] = []
-    # Each branch is its own successor set.
     owner, values, offsets = array("i"), array("i"), array("q", [0])
     stack = [start]
     while stack:
         node = stack.pop()
-        state, mem = node
-        if all(state.is_source):  # no ignorant agent left
-            solved.append(ids[node])
+        positions, is_source, mem = node
+        here = ids[node]
+        if all(is_source):  # no ignorant agent left
+            solved.append(here)
             continue
         if len(ids) > budget_states:
             raise BudgetExceeded("undecided: budget (model check exploration)")
-        here = ids[node]
-        for branch in expand(state, mem):
-            succ_ids = []
-            for nxt in branch:
-                t = ids.get(nxt)
-                if t is None:
-                    t = ids[nxt] = len(ids)
-                    stack.append(nxt)
-                succ_ids.append(t)
+        succ = expand(AgentState(positions, is_source), mem)
+        new = len(ids)
+        for nxt in succ:
+            t = ids.setdefault(nxt, new)
+            if t == new:
+                stack.append(nxt)
+                new += 1
+            values.append(t)
+        if fixed.role == "agents":  # each reply is its own branch
+            owner.extend([here] * len(succ))
+            offsets.extend(range(len(values) - len(succ) + 1, len(values) + 1))
+        else:  # every joint move in one branch
             owner.append(here)
-            values.extend(succ_ids)
             offsets.append(len(values))
 
     goal = np.zeros(len(ids), dtype=bool)

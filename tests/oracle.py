@@ -8,10 +8,16 @@ backward induction recomputes every move from scratch.
 
 `solved_agent_targets` is the reference for `SolvedAgentPolicy.decide`: the
 same choice made over the labelled product of every agent's moves.
+
+`fixed_adversary_value` is the reference for `model_check_policy` against a
+fixed adversary: labelled nodes that carry the adversary's memory, the
+removal asked of the adversary afresh at every visit, and the same backward
+induction over every joint move.
 """
 
 from itertools import product
 
+from dynbroadcast.engine import AgentState
 from dynbroadcast.graph import Graph
 
 INFINITE = float("inf")
@@ -90,3 +96,42 @@ def solved_agent_targets(rank, surviving: Graph, state: State) -> tuple[int, ...
         if r is not None and (best is None or (r, targets) < best):
             best = (r, targets)
     return positions if best is None else best[1]
+
+
+def fixed_adversary_value(g: Graph, start: State, adversary) -> int | float:
+    """Rounds the agents need, playing every labelled joint move, until no
+    agent is ignorant, when `adversary` removes edges by its own rule from
+    `start`; inf if they can never force it.
+
+    A node is (positions, is_source, memory). Play stops at a node with no
+    ignorant agent, so the adversary is never asked there. Each removal must
+    leave the graph connected.
+    """
+
+    def successors(node):
+        positions, is_source, memory = node
+        removed, after = adversary.decide(g, AgentState(positions, is_source), memory)
+        assert g.is_connected(removed), removed
+        return [nxt + (after,) for nxt in joint_moves(g, removed, (positions, is_source))]
+
+    state = converted(*start)
+    first = state + (adversary.initial_memory(g, AgentState(*state)),)
+    nodes, frontier = {first}, {first}
+    while frontier:
+        frontier = {
+            nxt for node in frontier if not all(node[1]) for nxt in successors(node)
+        } - nodes
+        nodes |= frontier
+    value: dict[tuple, int] = {node: 0 for node in nodes if all(node[1])}
+    t = 0
+    while first not in value:
+        t += 1
+        newly = [
+            node
+            for node in nodes
+            if node not in value and any(nxt in value for nxt in successors(node))
+        ]
+        if not newly:
+            return INFINITE
+        value.update((node, t) for node in newly)
+    return value[first]

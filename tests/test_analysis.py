@@ -21,7 +21,6 @@ from dynbroadcast.analysis import (
     enumerate_bonds,
     min_degree,
     timing_bounds,
-    tree_meeting_bound,
     vertex_connectivity,
     y_set_diameter,
 )
@@ -212,10 +211,6 @@ class TestTiming:
                     tb = timing_bounds(n, x, y)
                     assert tb.first_new_source == ceil((n - x - y + 1) / 2)
                     assert tb.all_sources == ceil((n - y) / 2)
-
-    def test_tree_meeting_bound(self):
-        for d in range(0, 10):
-            assert tree_meeting_bound(d) == ceil(d / 2)
 
     def test_invalid_split_rejected(self):
         with pytest.raises(ValueError):

@@ -347,12 +347,18 @@ class TestSimulate:
             ("--adversary", "random_tree:seed=x"),
             ("--adversary", "random_tree:speed=3"),
             ("--agents", "theta_broadcast:k=two"),
+            ("--adversary", "passive:9"),
+            ("--agents", "greedy_path:x"),
+            ("--adversary", "theta_blocker:3"),
         ],
     )
     def test_malformed_policy_parameter_is_diagnostic(self, capsys, flag, spec):
         form = {
             "random_tree": "an integer seed, random_tree:seed=N or random_tree:N",
             "theta_broadcast": "an integer agent count, theta_broadcast:k=N",
+            "passive": "no parameter",
+            "greedy_path": "no parameter",
+            "theta_blocker": "no parameter",
         }
         name = spec.partition(":")[0]
         code, out, err = run(capsys, "simulate", "path:5", flag, spec)

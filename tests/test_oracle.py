@@ -9,8 +9,13 @@ import networkx as nx
 import pytest
 
 from dynbroadcast.engine import AgentState, Configuration, initial_state, simulate
-from dynbroadcast.graph import Graph, make_grid
-from dynbroadcast.policies import PassiveAdversary, TowardSourcePolicy
+from dynbroadcast.graph import Graph, make_complete, make_grid, make_theta
+from dynbroadcast.policies import (
+    IsolationTreeAdversary,
+    PassiveAdversary,
+    ThetaBlocker,
+    TowardSourcePolicy,
+)
 from dynbroadcast.solver import (
     INFINITE,
     SolvedAdversaryPolicy,
@@ -24,7 +29,13 @@ from dynbroadcast.solver import (
 
 from test_policies import check_summary, non_local
 
-from oracle import ignorant_count, joint_moves, solved_agent_targets, values
+from oracle import (
+    fixed_adversary_value,
+    ignorant_count,
+    joint_moves,
+    solved_agent_targets,
+    values,
+)
 
 
 def connected_atlas(min_nodes: int, max_nodes: int):
@@ -225,3 +236,31 @@ def test_solved_agent_model_check_equals_attractor_rank(g, k):
             assert res.optimal_rounds == rank, (ig, src)
             ref = model_check_policy(g, initial_state(ig, src), twin)
             assert check_summary(res) == check_summary(ref), (ig, src)
+
+
+def fixed_adversary_cases():
+    """(graph, adversary, start): the passive adversary on every connected
+    atlas graph with at most 5 nodes from every distinct-node start with one
+    ignorant agent and one source; `ThetaBlocker` and `IsolationTreeAdversary`
+    from their own placements."""
+    for g in connected_atlas(1, 5):
+        for ig, src in distinct_starts(g, 1):
+            yield g, PassiveAdversary(), initial_state(ig, src)
+    for lengths in ([2, 2], [1, 2, 2]):
+        g, adv = make_theta(lengths), ThetaBlocker()
+        yield g, adv, adv.place(g, len(lengths) - 1, 1)
+    for n in (4, 5):
+        g, adv = make_complete(n), IsolationTreeAdversary()
+        yield g, adv, adv.place(g, n - 3, 1)
+
+
+def test_fixed_adversary_model_check_matches_oracle():
+    winners = []
+    for g, adv, start in fixed_adversary_cases():
+        want = fixed_adversary_value(g, (start.positions, start.is_source), adv)
+        res = model_check_policy(g, start, adv)
+        assert (res.optimal_rounds, res.winner) == (
+            want, "adversary" if want == INFINITE else "agents"
+        ), (sorted(g.edges), adv.name, start)
+        winners.append(res.winner)
+    assert (len(winners), winners.count("adversary")) == (510, 3)

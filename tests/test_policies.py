@@ -246,7 +246,7 @@ class TestThetaBroadcast:
                 missed.append(sorted(set(empty) - {p for _, p in descenders}))
             return targets, (x, descenders)
 
-        monkeypatch.setitem(ThetaBroadcastPolicy._HANDLERS, policies._P4, spy)
+        monkeypatch.setattr(ThetaBroadcastPolicy, "_run_phase4", spy)
         g = make_theta([1, 2, 4, 1])
         state = initial_state([8, 0, 7, 1], [5])
         trace = simulate(g, state, ThetaBroadcastPolicy(k=4), Script(), max_rounds=50)
@@ -781,6 +781,14 @@ class TestMakePolicy:
         ):
             with pytest.raises(ValueError, match=re.escape(f"{form}{spec!r}")):
                 make_policy(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["passive:9", "greedy_path:x", "theta_blocker:3", "bond_blocker:", "clique_policy:5"]
+    )
+    def test_parameter_on_a_plain_policy_is_refused(self, spec):
+        message = f"{spec.partition(':')[0]} takes no parameter, not {spec!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_policy(spec, make_grid(3, 3))
 
 
 def menu_of(surviving, positions):
