@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil
 
-from .graph import Edge, Graph, theta_layout
+from .graph import Edge, Graph, _spans, theta_layout
 
 
 def min_degree(g: Graph) -> int:
@@ -124,7 +124,7 @@ def enumerate_bonds(g: Graph) -> list[Bond]:
         for extra in combinations(rest, r):
             a = 1 + sum(extra)
             b = every ^ a
-            if not (_mask_connected(a, masks) and _mask_connected(b, masks)):
+            if not (_spans(masks, a) and _spans(masks, b)):
                 continue
             cut = frozenset((u, v) for (u, v) in g.edges if (a >> u & 1) != (a >> v & 1))
             if cut:
@@ -138,19 +138,6 @@ def largest_matching_bond(bonds: list[Bond]) -> Bond | None:
     return max((b for b in bonds if b.is_matching), key=lambda b: len(b.edges), default=None)
 
 
-def _mask_connected(nodes: int, masks) -> bool:
-    """Whether the nodes of the bit mask `nodes` (at least one) induce a
-    connected subgraph: a walk over the neighbour masks, kept inside `nodes`."""
-    frontier = seen = nodes & -nodes
-    while frontier:
-        v = frontier.bit_length() - 1
-        frontier ^= 1 << v
-        new = masks[v] & nodes & ~seen
-        seen |= new
-        frontier |= new
-    return seen == nodes
-
-
 def y_set_diameter(g: Graph, y: int) -> int:
     """Smallest diameter of an induced connected subgraph on y nodes, measured
     in the base graph; the best-case spread of y agents that must meet."""
@@ -159,7 +146,7 @@ def y_set_diameter(g: Graph, y: int) -> int:
     masks = g.neighbour_masks()
     best = None
     for nodes in combinations(range(g.node_count), y):
-        if not _mask_connected(sum(1 << v for v in nodes), masks):
+        if not _spans(masks, sum(1 << v for v in nodes)):
             continue
         diam = max(
             (g.distance(u, v) for u, v in combinations(nodes, 2)), default=0

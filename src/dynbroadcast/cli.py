@@ -301,7 +301,7 @@ def _run_experiment(spec: dict, budget_states: int = DEFAULT_BUDGET_STATES) -> T
             raise ValueError(f'spec "{key}" must be an integer, not {spec[key]!r}')
     g = _load_graph(spec["graph"])
     adversary_spec = spec["adversary"]
-    if "random_tree" in adversary_spec and ":" not in adversary_spec:
+    if adversary_spec == "random_tree":
         adversary_spec = f"random_tree:seed={spec.get('seed', 0)}"
     agents = make_policy(spec["agents"], g, budget_states)
     adversary = make_policy(adversary_spec, g, budget_states)

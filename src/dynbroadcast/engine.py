@@ -291,7 +291,7 @@ def check_trace(trace: Trace) -> None:
         _check_positions(g, targets)  # reported as a position, like the start
         try:
             masks = g._survivor_masks(g._removal(rec.removed_edges))
-            if not _spans(masks):
+            if not _spans(masks, (1 << g.node_count) - 1):
                 raise RuleViolation("removal disconnects the graph")
             origins = tuple(f for f, _ in rec.moves)
             if origins != state.positions:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -40,29 +41,14 @@ class Graph:
     """Undirected simple connected graph on nodes 0..node_count-1.
 
     ``adjacency()``, ``neighbour_masks()``, ``sorted_edges(g)``,
-    ``automorphisms(g)`` and ``theta_layout(g)`` are memoised on the
-    instance. That is safe because the graph is frozen; the memos take no
-    part in equality, hashing or repr.
+    ``automorphisms(g)`` and ``theta_layout(g)`` read cached properties of
+    the instance. That is safe because the graph is frozen; the cached values
+    take no part in equality, hashing or repr.
     """
 
     node_count: int
     edges: frozenset[Edge]
     family: FamilyInfo | None = field(default=None, compare=False, hash=False)
-    _adjacency: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _masks: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _sorted_edges: tuple[Edge, ...] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _automorphisms: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _theta_layout: tuple[ThetaLayout | None] | None = field(  # boxed, so None is memoised
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -83,27 +69,44 @@ class Graph:
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples, read off the neighbour masks."""
-        adj = self._adjacency
-        if adj is None:
-            lists = []
-            for mask in self.neighbour_masks():
-                nbrs = []
-                while mask:
-                    low = mask & -mask
-                    nbrs.append(low.bit_length() - 1)
-                    mask ^= low
-                lists.append(tuple(nbrs))
-            adj = tuple(lists)
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        return self._adjacency
 
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit w of masks[v] is set iff vw is an edge."""
-        masks = self._masks
-        if masks is None:
-            masks = tuple(_masks_of(self.node_count, self.edges))
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        return self._masks
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        lists = []
+        for mask in self._masks:
+            nbrs = []
+            while mask:
+                low = mask & -mask
+                nbrs.append(low.bit_length() - 1)
+                mask ^= low
+            lists.append(tuple(nbrs))
+        return tuple(lists)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple(_masks_of(self.node_count, self.edges))
+
+    @cached_property
+    def _sorted_edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        return _find_automorphisms(self)
+
+    @cached_property
+    def _theta_layout(self) -> ThetaLayout | None:
+        fam = self.family
+        if fam is not None and fam.kind in ("theta", "density_family"):
+            layout = _labelled_theta(self, fam.labels)
+            if layout is not None:
+                return layout
+        return _structural_theta(self)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency()[v]
@@ -119,7 +122,8 @@ class Graph:
     def is_connected(self, removed: Iterable[Edge] = frozenset()) -> bool:
         """Whether the graph left by `removed` (checked as in `without`) is
         connected."""
-        return _spans(self._survivor_masks(self._removal(removed)))
+        masks = self._survivor_masks(self._removal(removed))
+        return _spans(masks, (1 << self.node_count) - 1)
 
     def without(self, removed: Iterable[Edge]) -> "Graph":
         """Surviving graph after an edge removal; keeps the family annotation.
@@ -133,16 +137,13 @@ class Graph:
             return self
         survivor = object.__new__(Graph)
         # Every kept edge was validated with this graph, so the survivor is
-        # filled in directly rather than re-checked by `__post_init__`.
+        # filled in directly rather than re-checked by `__post_init__`. Its
+        # masks are seeded; every other view is computed on first use.
         vars(survivor).update(
             node_count=self.node_count,
             edges=self.edges - gone,
             family=self.family,
-            _adjacency=None,
             _masks=tuple(self._survivor_masks(gone)),
-            _sorted_edges=None,
-            _automorphisms=None,
-            _theta_layout=None,
         )
         return survivor
 
@@ -198,7 +199,7 @@ class Graph:
 
 
 def is_connected(node_count: int, edges: Iterable[Edge]) -> bool:
-    return _spans(_masks_of(node_count, edges))
+    return _spans(_masks_of(node_count, edges), (1 << node_count) - 1)
 
 
 def _masks_of(node_count: int, edges: Iterable[Edge]) -> list[int]:
@@ -209,10 +210,12 @@ def _masks_of(node_count: int, edges: Iterable[Edge]) -> list[int]:
     return masks
 
 
-def _spans(masks) -> bool:
-    """True iff a walk from node 0 over neighbour masks reaches every node."""
-    unseen = (1 << len(masks)) - 2
-    frontier = 1
+def _spans(masks, nodes: int) -> bool:
+    """Whether the nodes of the bit mask `nodes` (at least one) induce a
+    connected subgraph: a walk over the neighbour masks from the lowest of
+    them that visits only them."""
+    frontier = nodes & -nodes
+    unseen = nodes ^ frontier
     while unseen:
         if not frontier:
             return False
@@ -233,13 +236,10 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     A backtracking search maps the nodes in BFS order. A node's image must
     have its degree, be a neighbour of its BFS parent's image, and agree on
-    adjacency with every node mapped before it. Memoised on the instance.
+    adjacency with every node mapped before it, which is checked on the two
+    neighbourhoods alone. A cached property of g.
     """
-    found = g._automorphisms
-    if found is None:
-        found = _find_automorphisms(g)
-        object.__setattr__(g, "_automorphisms", found)
-    return found
+    return g._automorphisms
 
 
 def _find_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -259,27 +259,36 @@ def _find_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
                     queue.append(w)
         order += queue
     image = [-1] * g.node_count
-    used = [False] * g.node_count
+    taken: set[int] = set()  # the images given so far
     found: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> bool:
-        """Map order[i:] in every consistent way; True once too many are found."""
-        if i == len(order):
+    # Depth-first over an explicit stack, so that long graphs need no deep
+    # recursion: tries[i] holds the images of order[i] not yet tried.
+    tries = [iter(g.nodes)]
+    while tries:
+        i = len(tries) - 1
+        v = order[i]
+        if image[v] >= 0:  # back at this node: release its last image
+            taken.remove(image[v])
+            image[v] = -1
+        # The nodes mapped so far are order[:i]; w agrees with them on
+        # adjacency iff its taken neighbours are the images of v's mapped ones.
+        mapped = {image[u] for u in adj[v] if image[u] >= 0}
+        for w in tries[i]:
+            if w not in taken and len(adj[w]) == len(adj[v]) and near[w] & taken == mapped:
+                break
+        else:
+            tries.pop()
+            continue
+        image[v] = w
+        taken.add(w)
+        if i + 1 == len(order):
             found.append(tuple(image))
-            return len(found) > MAX_AUTOMORPHISMS
-        v, p = order[i], parent[order[i]]
-        for w in g.nodes if p is None else adj[image[p]]:
-            if used[w] or len(adj[w]) != len(adj[v]):
-                continue
-            if any((u in near[v]) != (image[u] in near[w]) for u in order[:i]):
-                continue
-            image[v], used[w] = w, True
-            if extend(i + 1):
-                return True
-            used[w] = False
-        return False
-
-    return () if extend(0) else tuple(sorted(found))
+            if len(found) > MAX_AUTOMORPHISMS:
+                return ()
+        else:
+            p = parent[order[i + 1]]
+            tries.append(iter(g.nodes if p is None else adj[image[p]]))
+    return tuple(sorted(found))
 
 
 def edge_density(g: Graph) -> Fraction:
@@ -434,18 +443,19 @@ class ThetaLayout:
     north: int
     south: int
     paths: tuple[tuple[int, ...], ...]
-    chains: tuple[tuple[int, ...], ...] = field(init=False)
-    where: dict[int, tuple[int, int]] = field(init=False)
 
-    def __post_init__(self) -> None:
-        chains = tuple((self.north,) + path + (self.south,) for path in self.paths)
-        where = {
+    @cached_property
+    def chains(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((self.north,) + path + (self.south,) for path in self.paths)
+
+    @cached_property
+    def where(self) -> dict[int, tuple[int, int]]:
+        """Internal node -> (path index, coordinate)."""
+        return {
             v: (p_idx, i)
-            for p_idx, chain in enumerate(chains)
+            for p_idx, chain in enumerate(self.chains)
             for i, v in enumerate(chain[1:-1], start=1)
         }
-        object.__setattr__(self, "chains", chains)
-        object.__setattr__(self, "where", where)
 
     @property
     def n_paths(self) -> int:
@@ -482,18 +492,10 @@ def theta_layout(g: Graph) -> ThetaLayout | None:
     exactly the graph's edges. Otherwise the shape is detected from degrees:
     exactly two nodes of degree >= 3, or a path graph (a one-path theta). A
     cycle has no distinguished poles, so an unlabelled two-path theta is None.
-    Memoised on the instance, so the layouts of one graph are one object and
+    A cached property of g, so the layouts of one graph are one object and
     policy memories holding them compare equal.
     """
-    memo = g._theta_layout
-    if memo is None:
-        layout = None
-        fam = g.family
-        if fam is not None and fam.kind in ("theta", "density_family"):
-            layout = _labelled_theta(g, fam.labels)
-        memo = (layout if layout is not None else _structural_theta(g),)
-        object.__setattr__(g, "_theta_layout", memo)
-    return memo[0]
+    return g._theta_layout
 
 
 def _labelled_theta(g: Graph, labels: Mapping[str, Any]) -> ThetaLayout | None:
@@ -601,12 +603,8 @@ def contract_cut_edges(g: Graph) -> tuple[Graph, dict[int, int]]:
 
 
 def sorted_edges(g: Graph) -> tuple[Edge, ...]:
-    """The edges in lexicographic order; memoised on the instance."""
-    order = g._sorted_edges
-    if order is None:
-        order = tuple(sorted(g.edges))
-        object.__setattr__(g, "_sorted_edges", order)
-    return order
+    """The edges in lexicographic order; a cached property of g."""
+    return g._sorted_edges
 
 
 def graph_to_doc(g: Graph) -> dict[str, Any]:

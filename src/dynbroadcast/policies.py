@@ -1126,10 +1126,26 @@ def _int_param(spec: str, key: str, form: str, bare: bool = False) -> int | None
     raise ValueError(f"{name} takes {form}, not {spec!r}")
 
 
-_PLAIN_POLICIES = (
-    "passive", "toward_source", "greedy_path", "theta_blocker", "isolation_tree",
-    "clique_policy", "lollipop_policy", "bond_blocker",
-)
+def _bond_blocker(graph: Graph | None, _budget_states: int) -> BondBlocker:
+    if graph is None:
+        raise ValueError("bond_blocker needs a graph to pick its bond")
+    best = largest_matching_bond(enumerate_bonds(graph))
+    if best is None:
+        raise ValueError("graph has no matching bond")
+    return BondBlocker(best)
+
+
+# The policies that take no parameter: name -> builder(graph, budget_states).
+_PLAIN_POLICIES = {
+    "passive": lambda graph, budget: PassiveAdversary(),
+    "toward_source": lambda graph, budget: TowardSourcePolicy(),
+    "greedy_path": lambda graph, budget: GreedyPathPolicy(),
+    "theta_blocker": lambda graph, budget: ThetaBlocker(),
+    "isolation_tree": lambda graph, budget: IsolationTreeAdversary(),
+    "clique_policy": lambda graph, budget: CliquePolicy(budget),
+    "lollipop_policy": lambda graph, budget: LollipopPolicy(budget),
+    "bond_blocker": _bond_blocker,
+}
 
 
 def make_policy(
@@ -1143,40 +1159,22 @@ def make_policy(
     spec. Solver-backed policies build their attractor within
     `budget_states`."""
     name, colon, params = spec.partition(":")
-    if colon and name in _PLAIN_POLICIES:
-        raise ValueError(f"{name} takes no parameter, not {spec!r}")
-    if name == "passive":
-        return PassiveAdversary()
+    build = _PLAIN_POLICIES.get(name)
+    if build is not None:
+        if colon:
+            raise ValueError(f"{name} takes no parameter, not {spec!r}")
+        return build(graph, budget_states)
     if name == "random_tree":
         seed = _int_param(
             spec, "seed", "an integer seed, random_tree:seed=N or random_tree:N", bare=True
         )
         return RandomTreeAdversary(0 if seed is None else seed)
-    if name == "toward_source":
-        return TowardSourcePolicy()
-    if name == "greedy_path":
-        return GreedyPathPolicy()
     if name == "theta_broadcast":
         k = _int_param(spec, "k", "an integer agent count, theta_broadcast:k=N")
         return ThetaBroadcastPolicy(k)
-    if name == "theta_blocker":
-        return ThetaBlocker()
-    if name == "isolation_tree":
-        return IsolationTreeAdversary()
-    if name == "clique_policy":
-        return CliquePolicy(budget_states)
-    if name == "lollipop_policy":
-        return LollipopPolicy(budget_states)
     if name == "grid_flipflop":
         rows, _, cols = params.replace(",", "x").partition("x")
         if not (rows.isdecimal() and cols.isdecimal()):
             raise ValueError(f"grid_flipflop needs a grid size, grid_flipflop:RxC, not {spec!r}")
         return GridFlipflopAdversary(int(rows), int(cols))
-    if name == "bond_blocker":
-        if graph is None:
-            raise ValueError("bond_blocker needs a graph to pick its bond")
-        best = largest_matching_bond(enumerate_bonds(graph))
-        if best is None:
-            raise ValueError("graph has no matching bond")
-        return BondBlocker(best)
     raise ValueError(f"unknown policy {spec!r}")

@@ -450,15 +450,12 @@ class _Ranking:
 
 
 class _StateSpace:
-    """The canonical states with `total` agents on `g`, ranked by `ranking`,
-    and the successor sets of their branches (see the module docstring)."""
+    """The canonical states that `ranking` ranks, and the successor sets of
+    their branches (see the module docstring)."""
 
-    def __init__(
-        self, g: Graph, total: int, budget_states: int, group: Iterable[tuple[int, ...]]
-    ):
-        self.ranking = _Ranking(g.node_count, total, budget_states)
-        n = self.n = g.node_count
-        self.total = total
+    def __init__(self, ranking: _Ranking, group: Iterable[tuple[int, ...]]):
+        self.ranking = ranking
+        n, total = self.n, self.total = ranking.n, ranking.total
         self.width, self.layer = self.ranking.width, self.ranking.layer
         self.multisets = self.ranking.multisets
         # Each m-multiset as a sorted row, and its base-n code, which grows
@@ -716,8 +713,10 @@ def _canonical_graph(
     """The canonical states, and the game graph with the adversary branches of
     `mode` at every orbit representative whose ignorant count is in `layers`.
     `all_subsets` uses the trivial group, so every state represents itself."""
-    group = automorphisms(g) if mode == "spanning_trees" else ()
-    space = _StateSpace(g, total_agents, budget_states, group)
+    # The budget is checked before the group search, which is slow on a
+    # large graph.
+    ranking = _Ranking(g.node_count, total_agents, budget_states)
+    space = _StateSpace(ranking, automorphisms(g) if mode == "spanning_trees" else ())
     if mode == "spanning_trees":
         def menus(occupied: tuple[int, ...]) -> array:
             return space.menu_codes(occupied, _minimal_menus(g, frozenset(occupied))[1])

@@ -99,15 +99,13 @@ class TestAnalyze:
         assert doc["largest_matching_bond"] == 3
 
     def test_bonds_are_enumerated_once(self, capsys, monkeypatch):
-        # Bond enumeration is the only caller of `_mask_connected` here, so
+        # Bond enumeration is the only caller of `analysis._spans` here, so
         # its call count measures how often the bonds are enumerated.
         from dynbroadcast import analysis
 
         calls = []
-        within = analysis._mask_connected
-        monkeypatch.setattr(
-            analysis, "_mask_connected", lambda *a: calls.append(a) or within(*a)
-        )
+        within = analysis._spans
+        monkeypatch.setattr(analysis, "_spans", lambda *a: calls.append(a) or within(*a))
         analysis.enumerate_bonds(make_ring(6))
         once = len(calls)
         code, out, _ = run(capsys, "analyze", "ring:6")
@@ -365,6 +363,10 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == f"error: {name} takes {form[name]}, not {spec!r}\n"
 
+    def test_only_the_bare_random_tree_name_is_seeded(self, capsys):
+        code, out, err = run(capsys, "simulate", "ring:5", "--adversary", "my_random_tree_v2")
+        assert (code, out, err) == (1, "", "error: unknown policy 'my_random_tree_v2'\n")
+
     def test_agents_placement_is_unknown(self, capsys):
         # No agent policy places agents, so "agents" is not a placement.
         code, out, err = run(
@@ -521,6 +523,25 @@ class TestSolve:
         )
         assert code == 4
         assert "budget exceeded" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, key, value",
+        [
+            (["path:1200", "--k", "0"], 0, "solvable", True),
+            (
+                ["ring:1500", "--k", "1", "--budget-states", "100"],
+                4,
+                "error",
+                "budget exceeded: undecided: budget (3375750 states > 100)",
+            ),
+        ],
+    )
+    def test_large_graphs_end_without_a_traceback(self, capsys, argv, exit_code, key, value):
+        # The budget is checked before the automorphism search, and the
+        # search keeps an explicit stack rather than recursing once per node.
+        code, out, err = run(capsys, "solve", *argv)
+        assert (code, err) == (exit_code, "")
+        assert json.loads(out)[key] == value
 
 
 class TestCheckTrace:

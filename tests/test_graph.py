@@ -1,5 +1,6 @@
 """Graph constructors, metadata, serialization, and surgery operations."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -30,6 +31,7 @@ from dynbroadcast.graph import (
     make_path,
     make_ring,
     make_theta,
+    sorted_edges,
     theta_layout,
 )
 from dynbroadcast import graph as graph_module
@@ -235,6 +237,7 @@ class TestAutomorphisms:
             (make_grid(3, 4), 4),
             (make_complete(5), 120),
             (make_complete(7), MAX_AUTOMORPHISMS),
+            (make_ring(200), 400),
         ],
         ids=lambda x: getattr(x, "family", None) and f"{x.family.kind}{x.family.params}",
     )
@@ -244,6 +247,11 @@ class TestAutomorphisms:
         assert tuple(g.nodes) in group
         for sigma in group:
             assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges} == g.edges
+
+    def test_long_path_needs_no_deep_recursion(self):
+        # The search keeps an explicit stack, one entry per mapped node.
+        n = 1200
+        assert automorphisms(make_path(n)) == (tuple(range(n)), tuple(range(n - 1, -1, -1)))
 
     def test_groups_over_the_cap_are_empty(self):
         # complete(8) has 8! automorphisms; the search stops after 7! + 1.
@@ -383,7 +391,7 @@ class TestAdjacencyMemo:
 
     def test_survivor_adjacency_matches_fresh_rebuild(self):
         g = make_grid(3, 3)
-        g.adjacency()  # a memo on the base graph must not leak into survivors
+        g.adjacency()  # a cached view of the base graph must not leak into survivors
         for r in range(3):
             for gone in itertools.combinations(sorted(g.edges), r):
                 surviving = g.without(gone)
@@ -405,6 +413,69 @@ class TestAdjacencyMemo:
         assert hash(g) == hash(twin)
         assert repr(g) == before == repr(twin)
         assert {g: 1}[twin] == 1
+
+
+# Family graphs, whose labels and symmetries give the views more to cover
+# than random graphs do.
+FAMILY_BASES = [
+    make_theta([1, 2, 2]),
+    make_theta([2, 2, 2]),
+    make_density_family(8, 2),
+    make_path(5),
+    make_ring(6),
+    make_grid(2, 3),
+    make_clique_star(5, 2),
+    make_lollipop(1, 2),
+]
+
+
+def views(g):
+    """The five derived views of g, a layout by its coordinates."""
+    layout = theta_layout(g)
+    return (
+        g.adjacency(),
+        g.neighbour_masks(),
+        sorted_edges(g),
+        automorphisms(g),
+        layout and (layout.north, layout.south, layout.paths),
+    )
+
+
+@st.composite
+def family_graphs_with_removals(draw):
+    """A family graph and a random subset of its edges."""
+    g = draw(st.sampled_from(FAMILY_BASES))
+    return g, frozenset(draw(st.sets(st.sampled_from(sorted(g.edges)))))
+
+
+@st.composite
+def graphs_with_node_sets(draw):
+    """A random survivor on at most 7 nodes and a non-empty set of its nodes."""
+    g, removed = draw(graphs_with_removals())
+    nodes = draw(st.sets(st.sampled_from(list(g.nodes)), min_size=1))
+    return g.without(removed), nodes
+
+
+class TestCachedViews:
+    def test_graph_fields_are_its_definition_only(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["node_count", "edges", "family"]
+
+    @given(st.one_of(family_graphs_with_removals(), graphs_with_removals()))
+    @settings(max_examples=300, deadline=None)
+    def test_survivor_views_match_a_fresh_graph(self, case):
+        g, removed = case
+        views(g)  # computed on the base first, so a leak would show
+        survivor = g.without(removed)
+        assert views(survivor) == views(Graph(g.node_count, g.edges - removed, g.family))
+
+    @given(graphs_with_node_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_spans_matches_networkx_on_induced_subgraphs(self, case):
+        g, nodes = case
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(g.nodes)
+        mask = sum(1 << v for v in nodes)
+        assert graph_module._spans(g.neighbour_masks(), mask) == nx.is_connected(h.subgraph(nodes))
 
 
 class TestThetaLayoutMemo:

@@ -731,6 +731,12 @@ class TestStructuralProperties:
         with pytest.raises(BudgetExceeded):
             min_agents(g, 4, budget_states=10)
 
+    def test_budget_is_checked_before_the_group_search(self):
+        # 1,815,550 states with 2 agents on 1,100 nodes, over the default
+        # budget: refused before the automorphism search.
+        with pytest.raises(BudgetExceeded, match=r"\(1815550 states > 300000\)"):
+            game_value(make_ring(1100), Configuration((0,), (5,)))
+
     def test_attractor_cache_hit_returns_same_object(self):
         g = make_ring(5)
         assert compute_attractor(g, 3) is compute_attractor(g, 3)
