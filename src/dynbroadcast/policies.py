@@ -17,6 +17,18 @@ distinct menu rather than once per connected removal. The theta strategy,
 `TowardSourcePolicy` and `GreedyPathPolicy` read distances over the whole
 survivor, so they are not; a policy without the attribute is not local.
 
+Anonymity. An adversary whose `decide` and `initial_memory` read the state
+only through `state.config()`, the sorted positions of each class, declares
+the class attribute `anonymous = True`: relabelling the agents within their
+classes changes neither its removal nor its memory. `model_check_policy`
+then explores configurations with memory rather than labelled states, one
+node per configuration where the labelled check has one per ordering of
+same-class agents. Every adversary here is anonymous: the passive, random
+tree and flip-flop adversaries never read the state, and the blockers,
+`IsolationTreeAdversary` and `solver.SolvedAdversaryPolicy` read only which
+nodes hold which class. An adversary without the attribute, or that reads
+agent ids, is checked on labelled states.
+
 The theta strategy plays exactly one ignorant agent per internal path and
 one source, the count of the paper's constructive upper bound; it is
 model-checked from every distinct-node start on theta(1,1), (1,2), (1,3),
@@ -65,6 +77,7 @@ class PassiveAdversary:
     """Removes nothing, ever."""
 
     role = "adversary"
+    anonymous = True
     name = "passive"
 
     def initial_memory(self, base: Graph, state: AgentState) -> Hashable:
@@ -84,6 +97,7 @@ class RandomTreeAdversary:
     permutation `random.shuffle` gives; a test pins the two together."""
 
     role = "adversary"
+    anonymous = True
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -265,6 +279,7 @@ class ThetaBlocker:
     """
 
     role = "adversary"
+    anonymous = True
     name = "theta_blocker"
 
     def place(self, base: Graph, k_ignorant: int, k_source: int = 1) -> AgentState:
@@ -337,6 +352,7 @@ class BondBlocker:
     edge that has an agent on an endpoint (at most m-1 of the m edges)."""
 
     role = "adversary"
+    anonymous = True
 
     def __init__(self, bond: Bond):
         if not bond.is_matching:
@@ -372,6 +388,7 @@ class IsolationTreeAdversary:
     so no ignorant agent is ever within reach."""
 
     role = "adversary"
+    anonymous = True
     name = "isolation_tree"
 
     def _check(self, base: Graph, k_ignorant: int) -> None:
@@ -462,6 +479,7 @@ class GridFlipflopAdversary:
     period 2, on every grid with an even node count."""
 
     role = "adversary"
+    anonymous = True
 
     def __init__(self, rows: int, cols: int):
         if rows * cols < 6:

@@ -24,13 +24,34 @@ Three questions are asked of such graphs:
   permutation of same-class agents), the branches are adversary removals, and
   the goal is "no ignorant agent";
 - `game_value(..., "first_new_source")`: the same graph, with the goal "fewer
-  ignorant agents than at the start";
-- `model_check_policy`: the nodes are flat (positions, is_source, memory)
-  tuples reached from the start. A fixed agent policy gives one
-  single-successor branch per call of its `decide`; a fixed adversary gives
-  one branch holding every joint move, and its removal must leave the graph
-  connected, as in `simulate`. A fixed-agent check's time is set by those
-  calls, not by the fixpoint. A policy that declares `local = True` reads the
+  ignorant agents than at the start". Both objectives come from one build:
+  a build made for `game_value` runs a second fixpoint on the same graph,
+  in which a successor set that holds a state with fewer ignorant agents
+  than its owner is won from the start. That ranks every state at once.
+  Conversion never raises the ignorant count, so from a state with i
+  ignorant agents play stays among states with i ignorant agents until the
+  goal, and the sets of their branches hold only such states and lower
+  ones. All owners of one set have the same ignorant count, since the
+  set's ignorant target list has that many agents. So a state's rank in
+  the second fixpoint is its rank in the game whose goal is fewer than i
+  ignorant agents. `compute_attractor`'s own builds skip that fixpoint;
+- `model_check_policy`: the nodes are reached from the start. A fixed agent
+  policy gives one single-successor branch per call of its `decide`; a
+  fixed adversary gives one branch holding every move of the agents, and
+  its removal must leave the graph connected, as in `simulate`. Nodes are
+  flat (positions, is_source, memory) tuples, except against an adversary
+  that declares `anonymous = True` (see `policies`): it reads a state only
+  through its configuration, so the nodes are configurations with memory,
+  (sorted ignorant positions, sorted sources, memory), and the successors
+  of a node are one per distinct pair of class target multisets
+  (`_class_moves`), after canonical conversion. Two labelled nodes with
+  equal configurations and memory get equal removals, and their joint moves
+  reach the same configurations, so they have equal ranks: the quotient is
+  exact, as with symmetry below, and it is counter abstraction (Pnueli, Xu &
+  Zuck, "Liveness with (0,1,ω)-counter abstraction", CAV 2002). Any other
+  adversary is checked on labelled nodes. A fixed-agent check's time is set
+  by the calls of its policy's `decide`, not by the fixpoint. A policy that
+  declares `local = True` reads the
   survivor only through its menu at the occupied nodes (see below and
   `policies`): equal menus give equal replies, hence equal successors, so it
   is called once per distinct menu, and the adversary's set of distinct
@@ -41,10 +62,11 @@ Three questions are asked of such graphs:
   built once per check; a removal that disconnects the graph is never stored,
   so it always raises. An agent's options are its node and its surviving
   neighbours, and an ignorant agent converts only on a node a source moves to.
-  So when no ignorant agent's options meet any source's options, no joint move
-  converts anyone: every successor keeps the classes `state.is_source`, and
-  the conversion rule is not run per move. Otherwise each joint move goes
-  through `_convert`. Either way the successors and their order are the same.
+  So on labelled nodes, when no ignorant agent's options meet any source's
+  options, no joint move converts anyone: every successor keeps the classes
+  `state.is_source`, and the conversion rule is not run per move. Otherwise
+  each joint move goes through `_convert`. Either way the successors and
+  their order are the same.
   Against a fixed agent policy the removals are always every connected
   removal (`connected_removals`): the spanning-tree reduction below is
   unsound against a fixed agent policy, which may react to the exact
@@ -186,6 +208,7 @@ DEFAULT_BUDGET_STATES = 300_000
 
 Mode = Literal["spanning_trees", "all_subsets"]
 Placement = Literal["adversarial", "agents_choose"]
+Objective = Literal["first_new_source", "all_sources"]
 
 INFINITE = float("inf")
 
@@ -295,9 +318,19 @@ def _class_moves(positions: Sequence[int], adj) -> dict[tuple[int, ...], tuple[i
     agent staying or crossing one edge of a survivor with adjacency `adj`,
     mapped to the least labelled target tuple that reaches it. `product` over
     sorted options runs in lexicographic order, so the first tuple seen for a
-    multiset is the least."""
+    multiset is the least. A class of one or two agents builds each key
+    directly, in the same order."""
+    options = [sorted((p,) + adj[p]) for p in positions]
+    if len(options) == 1:
+        return {(t,): (t,) for t in options[0]}
     moves: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for targets in product(*(sorted((p,) + adj[p]) for p in positions)):
+    if len(options) == 2:
+        first, second = options
+        for a in first:
+            for b in second:
+                moves.setdefault((a, b) if a <= b else (b, a), (a, b))
+        return moves
+    for targets in product(*options):
         moves.setdefault(tuple(sorted(targets)), targets)
     return moves
 
@@ -322,10 +355,13 @@ class _GameGraph(NamedTuple):
     offsets: np.ndarray  # int64, one more than there are sets
 
 
-def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
+def _solve(
+    goal: np.ndarray, graph: _GameGraph, won_sets: np.ndarray | None = None
+) -> np.ndarray:
     """Minimax rank of every node (see the module docstring); -1 if lost.
 
-    A node that is not a goal and has no branch is lost.
+    A node that is not a goal and has no branch is lost. A set marked in
+    `won_sets` counts as won from the start, as if it held a goal node.
     """
     owner, starts = graph.owner, graph.offsets[:-1]
     win = goal.copy()
@@ -338,6 +374,8 @@ def _solve(goal: np.ndarray, graph: _GameGraph) -> np.ndarray:
         wave += 1
         # A branch blocks its owner this wave if no successor in its set is won yet.
         set_won = np.logical_or.reduceat(win[graph.values], starts)
+        if won_sets is not None:
+            set_won |= won_sets
         newly = undecided.copy()
         newly[owner[~set_won[graph.set_of]]] = False
         if not newly.any():
@@ -361,6 +399,9 @@ class Attractor:
     branches: int  # (representative, adversary branch) pairs
     successor_entries: int  # summed over branches: successor representatives per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
+    # int32 per state id: minimax rounds until some ignorant agent converts;
+    # -1 where the adversary prevents it. Ranked only by builds for `game_value`.
+    first_new_source: np.ndarray | None = None
 
     def rank_of(self, state: Configuration) -> int | None:
         """The rank of `state`, or None if the adversary wins there or it is
@@ -708,10 +749,9 @@ def _canonical_graph(
     total_agents: int,
     mode: Mode,
     budget_states: int,
-    layers: range,
 ) -> tuple[_StateSpace, _GameGraph]:
     """The canonical states, and the game graph with the adversary branches of
-    `mode` at every orbit representative whose ignorant count is in `layers`.
+    `mode` at every orbit representative with an ignorant agent.
     `all_subsets` uses the trivial group, so every state represents itself."""
     # The budget is checked before the group search, which is slow on a
     # large graph.
@@ -721,21 +761,18 @@ def _canonical_graph(
         def menus(occupied: tuple[int, ...]) -> array:
             return space.menu_codes(occupied, _minimal_menus(g, frozenset(occupied))[1])
 
-    elif mode == "all_subsets":
+    else:
         survivors = [g.edges - r for r in connected_removals(g)]
 
         def menus(occupied: tuple[int, ...]) -> array:
             return space.menu_codes(occupied, survivors)
-
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     # Menu codes of each occupied set, and the target-list ids of a class at
     # each menu, memoised by the class multiset and the occupied set.
     by_occupied: dict[frozenset[int], tuple[tuple[int, ...], array]] = {}
     by_class: dict[tuple[tuple[int, ...], frozenset[int]], Sequence[int]] = {}
     ig_lists, src_lists, counts = array("i"), array("i"), array("i")
-    ids = np.arange(space.layer[layers.start], space.layer[layers.stop], dtype=np.int32)
+    ids = np.arange(space.layer[1], space.layer[-1], dtype=np.int32)
     reps = ids[space.rep[ids] == ids]
     for st in map(space.ranking.state, reps.tolist()):
         occupied = frozenset(st.ignorant + st.source)
@@ -770,28 +807,56 @@ def compute_attractor(
     mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> Attractor:
+    return _attractor(g, total_agents, mode, budget_states)
+
+
+def _attractor(
+    g: Graph,
+    total_agents: int,
+    mode: Mode,
+    budget_states: int,
+    objective: Objective | None = None,
+) -> Attractor:
+    """The cached attractor, built on a miss. `objective` is set by
+    `game_value`: its builds also rank the first-new-source objective, and a
+    first-new-source query rebuilds an attractor cached without those ranks."""
+    if mode not in ("spanning_trees", "all_subsets"):
+        raise ValueError(f"unknown mode {mode!r}")
     if total_agents < 1:
         raise ValueError("the game needs at least one agent")
     key = (g, total_agents, mode)
     cached = _ATTRACTOR_CACHE.get(key)
     # A smaller budget than the cached build must still raise BudgetExceeded.
-    if cached is not None and len(cached.ranks) <= budget_states:
+    if (
+        cached is not None
+        and len(cached.ranks) <= budget_states
+        and (objective != "first_new_source" or cached.first_new_source is not None)
+    ):
         return cached
-    space, graph = _canonical_graph(
-        g, total_agents, mode, budget_states, range(1, total_agents)
-    )
-    ranks = _solve(np.arange(space.layer[-1]) < space.layer[1], graph)[space.rep]
+    space, graph = _canonical_graph(g, total_agents, mode, budget_states)
+    goal = np.arange(space.layer[-1]) < space.layer[1]
+    first_new_source = None
+    if objective is not None:
+        # A set is won from the start if it holds a state with fewer ignorant
+        # agents than its owner: the id of its least state (sets are sorted)
+        # lies below the first id of the owner's layer.
+        layer = np.array(space.layer)
+        owner_floor = layer[np.searchsorted(layer, graph.owner, "right") - 1]
+        set_floor = np.empty(len(graph.offsets) - 1, dtype=np.int64)
+        set_floor[graph.set_of] = owner_floor
+        lowered = graph.values[graph.offsets[:-1]] < set_floor
+        first_new_source = _solve(goal, graph, lowered)[space.rep]
     set_sizes = np.diff(graph.offsets)
-    result = Attractor(
+    result = _ATTRACTOR_CACHE[key] = Attractor(
         g,
         total_agents,
         space.ranking,
-        ranks,
+        _solve(goal, graph)[space.rep],
         branches=len(graph.owner),
         successor_entries=int(set_sizes[graph.set_of].sum()),
         distinct_sets=len(set_sizes),
+        first_new_source=first_new_source,
     )
-    _ATTRACTOR_CACHE[key] = result
     return result
 
 
@@ -889,35 +954,30 @@ def min_agents(
     return None
 
 
-Objective = Literal["first_new_source", "all_sources"]
-
-
 def game_value(
     g: Graph,
     state: Configuration,
     objective: Objective = "all_sources",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> int | float:
-    """Minimax round count until the objective event; inf if the adversary wins."""
+    """Minimax round count until the objective event; inf if the adversary wins.
+
+    Both objectives are read off one attractor, built once per (graph,
+    agent count) with the ranks of both (see the module docstring)."""
     state = canonical_after_conversion(state.ignorant, state.source)
     _check_positions(g, state.ignorant + state.source)
-    total = len(state.ignorant) + len(state.source)
-    if objective == "all_sources":
-        r = compute_attractor(g, total, budget_states=budget_states).rank_of(state)
-        return INFINITE if r is None else r
-    if objective != "first_new_source":
+    if objective not in ("all_sources", "first_new_source"):
         raise ValueError(f"unknown objective {objective!r}")
-    if not state.ignorant:
-        return 0
-    if not state.source:
-        return INFINITE  # nobody can ever convert
-    i0 = len(state.ignorant)
-    # Play stays in the layer with i0 ignorant agents until the goal.
-    space, graph = _canonical_graph(
-        g, total, "spanning_trees", budget_states, range(i0, i0 + 1)
-    )
-    rank = _solve(np.arange(space.layer[-1]) < space.layer[i0], graph)
-    r = int(rank[space.rep[space.ranking.id(state)]])
+    if objective == "first_new_source":
+        if not state.ignorant:
+            return 0
+        if not state.source:
+            return INFINITE  # nobody can ever convert
+    total = len(state.ignorant) + len(state.source)
+    att = _attractor(g, total, "spanning_trees", budget_states, objective)
+    ranks = att.ranks if objective == "all_sources" else att.first_new_source
+    i = att.ranking.id(state)  # None without a source
+    r = -1 if i is None else int(ranks[i])
     return INFINITE if r < 0 else r
 
 
@@ -990,6 +1050,7 @@ class SolvedAdversaryPolicy:
     state, and removes every other edge."""
 
     role = "adversary"
+    anonymous = True
     name = "solved_adversary"
 
     def __init__(self, attractor: Attractor):
@@ -1028,11 +1089,16 @@ class SolvedAdversaryPolicy:
 class SolverResult:
     """Outcome of `model_check_policy`.
 
-    `branches` counts the edges of the game graph, (node, successor) pairs:
-    against a fixed agent policy one per call of its `decide`, which is one
-    per distinct menu at an expanded node for a local policy and one per
-    connected removal otherwise; against a fixed adversary one per joint
-    move. `decide_calls` counts the calls to the fixed policy's `decide`.
+    `states_explored` counts the nodes reached. `branches` counts the edges
+    of the game graph, (node, successor) pairs: against a fixed agent policy
+    one per call of its `decide`, which is one per distinct menu at an
+    expanded node for a local policy and one per connected removal
+    otherwise; against a fixed adversary one per joint move on labelled
+    nodes. Against an anonymous adversary the nodes are configurations with
+    memory, and there is one edge per distinct pair of class target
+    multisets; two pairs that convert to one configuration give two edges.
+    `decide_calls` counts the calls to the fixed policy's `decide`, one per
+    expanded node against a fixed adversary.
     """
 
     winner: Literal["agents", "adversary"]
@@ -1057,16 +1123,19 @@ def model_check_policy(
 
     A node is the flat tuple (positions, is_source, memory): the labelled
     agents' nodes and classes after conversion, and the fixed policy's
-    memory. Each side's `expand` returns a node's successor nodes, and one
-    `AgentState` is built per expanded node. Against a fixed agent policy
-    each reply is its own branch; against a fixed adversary all joint moves
-    form one branch.
+    memory. Against an anonymous adversary (`anonymous = True`) it is
+    (ignorant, source, memory), the configuration after conversion. Each
+    side's `expand` returns a node's successor nodes, and one `AgentState`
+    is built per expanded node. Against a fixed agent policy each reply is
+    its own branch; against a fixed adversary all moves form one branch.
     """
     if getattr(fixed, "role", None) not in ("agents", "adversary"):
         raise ValueError("fixed policy must declare role 'agents' or 'adversary'")
     _check_positions(g, initial.positions)
     new_cls, _ = _convert(initial.positions, initial.is_source)
     initial = AgentState(initial.positions, new_cls)
+    # An anonymous adversary is checked on configuration nodes.
+    configurations = fixed.role == "adversary" and getattr(fixed, "anonymous", False)
 
     if fixed.role == "agents":
         survivors = [g.without(r) for r in connected_removals(g)]
@@ -1088,50 +1157,80 @@ def model_check_policy(
                 reps = by_occupied[occupied] = list(by_menu.values())
             return reps
 
-        def expand(state: AgentState, mem: Hashable) -> list[tuple]:
+        def expand(node: tuple) -> list[tuple]:
             # The policy's reply over each representative survivor; every
             # reply is checked.
-            out = []
-            for surviving in representatives(state.positions):
+            positions, is_source, mem = node
+            state, out = AgentState(positions, is_source), []
+            for surviving in representatives(positions):
                 targets, mem2 = fixed.decide(surviving, state, mem)
-                _check_moves(surviving.neighbour_masks(), state.positions, targets)
-                out.append((targets, _convert(targets, state.is_source)[0], mem2))
+                _check_moves(surviving.neighbour_masks(), positions, targets)
+                out.append((targets, _convert(targets, is_source)[0], mem2))
             return out
 
     else:
         adjacency: dict[frozenset[Edge], tuple] = {}  # connected removals seen
 
-        def expand(state: AgentState, mem: Hashable) -> list[tuple]:
-            # Every joint move against the policy's removal.
+        def removal(state: AgentState, mem: Hashable) -> tuple[tuple, Hashable]:
+            # The policy's removal, as the surviving adjacency, and its memory.
             removed, mem2 = fixed.decide(g, state, mem)
             adj = adjacency.get(removed)
             if adj is None:  # a disconnecting removal raises here, each time
                 adj = adjacency[removed] = _surviving_graph(g, removed).adjacency()
-            cls = state.is_source
-            options = [(p,) + adj[p] for p in state.positions]
-            reach = {t for opts, s in zip(options, cls) if s for t in opts}
-            moves = product(*options)
-            if all(reach.isdisjoint(opts) for opts, s in zip(options, cls) if not s):
-                return [(t, cls, mem2) for t in moves]  # nobody converts
-            return [(t, _convert(t, cls)[0], mem2) for t in moves]
+            return adj, mem2
 
-    # Depth-first exploration of flat (positions, is_source, memory) nodes,
-    # numbered on discovery.
-    start = (initial.positions, initial.is_source, fixed.initial_memory(g, initial))
+        if configurations:
+
+            def expand(node: tuple) -> list[tuple]:
+                # Every distinct pair of class target multisets, converted.
+                ig, src, mem = node
+                state = AgentState(ig + src, (False,) * len(ig) + (True,) * len(src))
+                adj, mem2 = removal(state, mem)
+                igs, out = _class_moves(ig, adj), []
+                for c in _class_moves(src, adj):
+                    on = set(c)
+                    for a in igs:
+                        if on.isdisjoint(a):
+                            out.append((a, c, mem2))
+                        else:  # ignorant agents on a source's target convert
+                            out.append((*canonical_after_conversion(a, c), mem2))
+                return out
+
+        else:
+
+            def expand(node: tuple) -> list[tuple]:
+                # Every joint move against the policy's removal.
+                positions, cls, mem = node
+                adj, mem2 = removal(AgentState(positions, cls), mem)
+                options = [(p,) + adj[p] for p in positions]
+                reach = {t for opts, s in zip(options, cls) if s for t in opts}
+                moves = product(*options)
+                if all(reach.isdisjoint(opts) for opts, s in zip(options, cls) if not s):
+                    return [(t, cls, mem2) for t in moves]  # nobody converts
+                return [(t, _convert(t, cls)[0], mem2) for t in moves]
+
+    # Depth-first exploration of flat nodes, numbered on discovery.
+    # A configuration node is (ignorant, source, memory), solved when it has
+    # no ignorant agent; a labelled one is solved when every agent is a source.
+    memory = fixed.initial_memory(g, initial)
+    if configurations:
+        start = (*initial.config(), memory)
+    else:
+        start = (initial.positions, initial.is_source, memory)
+    solved_at = (lambda node: not node[0]) if configurations else (lambda node: all(node[1]))
     ids = {start: 0}
     solved: list[int] = []
     owner, values, offsets = array("i"), array("i"), array("q", [0])
     stack = [start]
     while stack:
         node = stack.pop()
-        positions, is_source, mem = node
         here = ids[node]
-        if all(is_source):  # no ignorant agent left
+        if solved_at(node):
             solved.append(here)
             continue
         if len(ids) > budget_states:
             raise BudgetExceeded("undecided: budget (model check exploration)")
-        succ = expand(AgentState(positions, is_source), mem)
+        succ = expand(node)
         new = len(ids)
         for nxt in succ:
             t = ids.setdefault(nxt, new)

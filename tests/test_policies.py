@@ -9,7 +9,15 @@ import networkx as nx
 import pytest
 
 from dynbroadcast import policies, solver
-from dynbroadcast.engine import AgentState, RuleViolation, initial_state, simulate, validate_removal
+from dynbroadcast.analysis import enumerate_bonds, largest_matching_bond
+from dynbroadcast.engine import (
+    AgentState,
+    RuleViolation,
+    initial_state,
+    simulate,
+    step,
+    validate_removal,
+)
 from dynbroadcast.graph import (
     Graph,
     GraphError,
@@ -37,6 +45,7 @@ from dynbroadcast.policies import (
     make_policy,
 )
 from dynbroadcast.solver import (
+    SolvedAdversaryPolicy,
     SolvedAgentPolicy,
     SolverResult,
     compute_attractor,
@@ -53,13 +62,25 @@ def theta_start(ds, k=None):
     return g, initial_state(mids[:k], [lab["north"]])
 
 
+def _twin(policy, prefix, **attributes):
+    """A copy of `policy` whose class is a subclass of its own with
+    `attributes` set."""
+    twin = copy.copy(policy)
+    cls = type(policy)
+    twin.__class__ = type(f"{prefix}{cls.__name__}", (cls,), attributes)
+    return twin
+
+
 def non_local(policy):
     """A copy of `policy` whose class is a `local = False` subclass of its
     own: the model checker then asks it once per connected removal."""
-    twin = copy.copy(policy)
-    cls = type(policy)
-    twin.__class__ = type(f"NonLocal{cls.__name__}", (cls,), {"local": False})
-    return twin
+    return _twin(policy, "NonLocal", local=False)
+
+
+def labelled(adversary):
+    """A copy of `adversary` whose class is an `anonymous = False` subclass
+    of its own: the model checker then explores labelled states."""
+    return _twin(adversary, "Labelled", anonymous=False)
 
 
 def check_summary(res):
@@ -908,3 +929,151 @@ class TestLocality:
         assert model_check_policy(g, start, non_local(policy)) == SolverResult(
             "agents", rounds, states, removal_calls, removal_calls
         )
+
+
+def sampled_nodes(g, start, adversary, count, seed=0):
+    """`count` (state, memory) pairs met in plays from `start` against
+    `adversary`, the agents making a uniformly random joint move each round;
+    a play that converts everyone starts over."""
+    rng = random.Random(seed)
+    nodes, state, memory = [], start, adversary.initial_memory(g, start)
+    while len(nodes) < count:
+        if all(state.is_source):
+            state, memory = start, adversary.initial_memory(g, start)
+        nodes.append((state, memory))
+        removed, memory = adversary.decide(g, state, memory)
+        adj = g.without(removed).adjacency()
+        targets = tuple(rng.choice((p,) + adj[p]) for p in state.positions)
+        state, _ = step(g, state, removed, targets)
+    return nodes
+
+
+def relabellings(state):
+    """`state` under every permutation of the agent ids: each agent keeps its
+    node and its class, so the configuration is the same."""
+    for perm in itertools.permutations(range(len(state.positions))):
+        yield AgentState(
+            tuple(state.positions[i] for i in perm), tuple(state.is_source[i] for i in perm)
+        )
+
+
+def label_splits(g, start, adversary, count=40):
+    """The sampled states at which some relabelling changes the adversary's
+    reply (removal and memory), and the start if one changes its initial
+    memory."""
+    memory = adversary.initial_memory(g, start)
+    splits = [
+        start for other in relabellings(start) if adversary.initial_memory(g, other) != memory
+    ]
+    for state, memory in sampled_nodes(g, start, adversary, count):
+        reply = adversary.decide(g, state, memory)
+        if any(adversary.decide(g, other, memory) != reply for other in relabellings(state)):
+            splits.append(state)
+    return splits
+
+
+class _CutAtAgentZero:
+    """Removes the least edge at agent 0's node. It reads an agent id, so it
+    is not anonymous."""
+
+    role = "adversary"
+    name = "cut_at_agent_zero"
+
+    def initial_memory(self, base, state):
+        return None
+
+    def decide(self, base, state, memory):
+        p = state.positions[0]
+        return frozenset([min(e for e in base.edges if p in e)]), None
+
+
+def _placed(make_graph, adversary, k_ignorant):
+    """A case: `adversary` on a new graph, from its own placement."""
+
+    def case():
+        g = make_graph()
+        return g, adversary, adversary.place(g, k_ignorant, 1)
+
+    return case
+
+
+def _two_triangles():
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    return Graph(6, frozenset(edges))
+
+
+def _random_tree_theta222():
+    g, start = theta_start([2, 2, 2])
+    return g, RandomTreeAdversary(seed=7), start
+
+
+def _solved_adversary_theta122():
+    g = make_theta([1, 2, 2])
+    adversary = SolvedAdversaryPolicy(compute_attractor(g, 3))
+    return g, adversary, adversary.place(g, 2, 1)
+
+
+ANONYMITY_CASES = [
+    pytest.param(
+        lambda: (make_ring(5), PassiveAdversary(), initial_state([0, 2], [4])), id="passive-ring5"
+    ),
+    pytest.param(_random_tree_theta222, id="random_tree-theta222"),
+    pytest.param(
+        _placed(lambda: make_theta([3, 3, 3]), ThetaBlocker(), 2), id="theta_blocker-theta333"
+    ),
+    pytest.param(
+        _placed(
+            _two_triangles,
+            BondBlocker(largest_matching_bond(enumerate_bonds(_two_triangles()))),
+            1,
+        ),
+        id="bond_blocker-two_triangles",
+    ),
+    pytest.param(
+        _placed(lambda: make_complete(5), IsolationTreeAdversary(), 2),
+        id="isolation_tree-complete5",
+    ),
+    pytest.param(
+        _placed(lambda: make_grid(2, 3), GridFlipflopAdversary(2, 3), 3),
+        id="grid_flipflop-grid2x3",
+    ),
+    pytest.param(_solved_adversary_theta122, id="solved_adversary-theta122"),
+    pytest.param(
+        lambda: (make_ring(5), _CutAtAgentZero(), initial_state([0, 2], [4])),
+        id="cut_at_agent_zero-ring5",
+    ),
+]
+
+# The anonymous adversary classes that ANONYMITY_CASES covers.
+ANONYMOUS_ADVERSARIES = {
+    PassiveAdversary,
+    RandomTreeAdversary,
+    ThetaBlocker,
+    BondBlocker,
+    IsolationTreeAdversary,
+    GridFlipflopAdversary,
+    SolvedAdversaryPolicy,
+}
+
+
+class TestAnonymity:
+    @pytest.mark.parametrize("case", ANONYMITY_CASES)
+    def test_relabelled_states_get_equal_replies(self, case):
+        # An anonymous adversary's reply depends on a state only through its
+        # configuration. Any other adversary must show a state where it does
+        # not, or it could be anonymous.
+        g, adversary, start = case()
+        splits = label_splits(g, start, adversary)
+        if getattr(adversary, "anonymous", False):
+            assert splits == []
+        else:
+            assert splits
+
+    def test_every_anonymous_adversary_is_covered(self):
+        declared = {
+            cls
+            for module in (policies, solver)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and getattr(cls, "anonymous", False)
+        }
+        assert declared == ANONYMOUS_ADVERSARIES

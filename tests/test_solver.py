@@ -39,9 +39,11 @@ from dynbroadcast.solver import (
     SolvedAgentPolicy,
     SolverResult,
     _canonical_graph,
+    _class_moves,
     _initial_states,
     _minimal_menu_survivors,
     _placement_ids,
+    _Ranking,
     canonical_after_conversion,
     compute_attractor,
     connected_removals,
@@ -52,8 +54,9 @@ from dynbroadcast.solver import (
     spanning_trees,
 )
 
+from reference_first_new_source import reference_first_new_source
 from test_engine import _FixedRemoval
-from test_policies import menu_of, non_local, theta_start
+from test_policies import labelled, menu_of, non_local, theta_start
 
 
 def atlas_graphs(max_nodes=5, min_nodes=2):
@@ -137,6 +140,19 @@ class TestBranching:
         assert len(set(got)) == len(got)
         assert set(got) == minimal
 
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_class_moves_equal_the_sorted_product(self, g, data):
+        # Keys, values and their order, for classes of 1 to 3 agents over any
+        # survivor, connected or not.
+        positions = data.draw(st.lists(st.sampled_from(list(g.nodes)), min_size=1, max_size=3))
+        removed = data.draw(st.sets(st.sampled_from(sorted(g.edges))))
+        adj = g.without(removed).adjacency()
+        want = {}
+        for targets in itertools.product(*(sorted((p,) + adj[p]) for p in positions)):
+            want.setdefault(tuple(sorted(targets)), targets)
+        assert list(_class_moves(positions, adj).items()) == list(want.items())
+
 
 def image(sigma, s):
     """State s with every position relabelled by sigma."""
@@ -159,7 +175,7 @@ def kernel_branches(g, total, rep):
     """(state, survivor, stored successor states) for every branch of the
     canonical game graph, with the representatives (`rep(s) == s`) and their
     survivors recomputed in build order."""
-    space, graph = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
+    space, graph = _canonical_graph(g, total, "spanning_trees", 10**6)
     states = [s for n_ig in range(total) for s in space.ranking.states(n_ig)]
     branches = (
         (s, survivor)
@@ -332,7 +348,7 @@ class TestSetupTables:
         ids=["complete(5)/4", "clique_star(7,2)/3", "theta(3,3,3)/3", "path(70)/2"],
     )
     def test_tables_match_per_state_recomputation(self, g, total):
-        space, _ = _canonical_graph(g, total, "spanning_trees", 10**6, range(1, total))
+        space, _ = _canonical_graph(g, total, "spanning_trees", 10**6)
         rep = orbit_rep(g)
         for i in range(space.layer[-1]):
             st = space.ranking.state(i)
@@ -423,7 +439,7 @@ class TestSymmetry:
         # and all_subsets is the unreduced reference: every state is its own
         # representative in both.
         for g, mode in ((make_complete(8), "spanning_trees"), (make_complete(4), "all_subsets")):
-            space, _ = _canonical_graph(g, 3, mode, 10**6, range(1, 3))
+            space, _ = _canonical_graph(g, 3, mode, 10**6)
             assert space.rep.tolist() == list(range(len(space.rep)))
 
 
@@ -507,6 +523,48 @@ class TestGameValue:
         config = Configuration((0,), ())
         for objective in ("all_sources", "first_new_source"):
             assert game_value(make_path(5), config, objective) == float("inf")
+
+    @pytest.mark.parametrize("total", [2, 3])
+    def test_first_new_source_equals_the_layer_restricted_reference(self, total):
+        # Every state of every connected atlas graph with at most 5 nodes,
+        # against the build of the starting layer alone.
+        seen = set()
+        for g in atlas_graphs(max_nodes=5, min_nodes=1):
+            ranking = _Ranking(g.node_count, total, 10**6)
+            for n_ig in range(total):
+                for state in ranking.states(n_ig):
+                    want = reference_first_new_source(g, state)
+                    assert game_value(g, state, "first_new_source") == want, (g.edges, state)
+                    seen.add(want)
+        assert {0, 1, 2, float("inf")} <= seen
+
+    def test_one_build_answers_both_objectives(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
+        g, config = make_theta([2, 3]), Configuration((2, 4), (0,))
+        assert game_value(g, config, "first_new_source") == 1
+        (att,) = solver._ATTRACTOR_CACHE.values()
+        assert game_value(g, config, "all_sources") == att.rank_of(config)
+        assert list(solver._ATTRACTOR_CACHE.values()) == [att]
+        assert compute_attractor(g, 3) is att
+
+    def test_first_new_source_after_a_plain_build(self, monkeypatch):
+        # A first-new-source query on an attractor cached without those ranks
+        # rebuilds it once, with the values of a build on an empty cache.
+        g = make_theta([2, 3])
+        states = _initial_states(g, 2, 1)
+        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
+        fresh = [game_value(g, s, "first_new_source") for s in states]
+        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
+        plain = compute_attractor(g, 3)
+        assert plain.first_new_source is None
+        assert game_value(g, states[0], "all_sources") == plain.rank_of(states[0])
+        assert compute_attractor(g, 3) is plain  # the other objective reads it as it is
+        first = game_value(g, states[0], "first_new_source")
+        rebuilt = compute_attractor(g, 3)
+        assert rebuilt is not plain and rebuilt.first_new_source is not None
+        assert [first] + [game_value(g, s, "first_new_source") for s in states[1:]] == fresh
+        assert compute_attractor(g, 3) is rebuilt
+        assert (rebuilt.ranks == plain.ranks).all()
 
 
 class TestExtractedPolicies:
@@ -637,17 +695,39 @@ class TestModelChecker:
     @pytest.mark.parametrize(
         "g, adv, k_ignorant, want",
         [
-            (make_theta([3, 3, 3]), ThetaBlocker(), 2, (1040, 15110, 1040)),
-            (make_theta([4, 4, 4]), ThetaBlocker(), 2, (2246, 32918, 2246)),
-            (make_complete(6), IsolationTreeAdversary(), 3, (128, 2048, 128)),
+            (make_theta([3, 3, 3]), ThetaBlocker(), 2, (575, 7730, 575)),
+            (make_theta([4, 4, 4]), ThetaBlocker(), 2, (1214, 16706, 1214)),
+            (make_complete(6), IsolationTreeAdversary(), 3, (40, 480, 40)),
         ],
         ids=["theta_blocker-theta333", "theta_blocker-theta444", "isolation_tree-complete6"],
     )
     def test_fixed_adversary_result_is_pinned(self, g, adv, k_ignorant, want):
-        # Nodes, branches and decide calls, as before successors were
-        # deduplicated.
+        # Configuration nodes, successor entries and decide calls.
         res = model_check_policy(g, adv.place(g, k_ignorant, 1), adv)
         assert res == SolverResult("adversary", float("inf"), *want)
+
+    @pytest.mark.parametrize(
+        "g, adv, k_ignorant, want",
+        [
+            (make_theta([3, 3, 3]), ThetaBlocker(), 2, (1040, 15110, 1040)),
+            (make_theta([4, 4, 4]), ThetaBlocker(), 2, (2246, 32918, 2246)),
+            (make_complete(6), IsolationTreeAdversary(), 3, (128, 2048, 128)),
+            (make_theta([1, 2, 2]), ThetaBlocker(), 2, (874, 13320, 754)),
+        ],
+        ids=[
+            "theta_blocker-theta333",
+            "theta_blocker-theta444",
+            "isolation_tree-complete6",
+            "theta_blocker-theta122",
+        ],
+    )
+    def test_configuration_check_equals_the_labelled_one(self, g, adv, k_ignorant, want):
+        # Same winner and rounds; the labelled explorer's nodes, branches and
+        # decide calls are unchanged.
+        start = adv.place(g, k_ignorant, 1)
+        res, twin = model_check_policy(g, start, adv), model_check_policy(g, start, labelled(adv))
+        assert (res.winner, res.optimal_rounds) == (twin.winner, twin.optimal_rounds)
+        assert (twin.states_explored, twin.branches, twin.decide_calls) == want
 
     def test_theta_blocker_loses_where_the_solver_says_adversary(self):
         # The blocker is not a lower-bound witness on every theta: the agents
@@ -657,7 +737,7 @@ class TestModelChecker:
         adv = ThetaBlocker()
         start = adv.place(g, 2, 1)
         assert solvable(g, 2, start.config()) is False
-        assert model_check_policy(g, start, adv) == SolverResult("agents", 5, 874, 13320, 754)
+        assert model_check_policy(g, start, adv) == SolverResult("agents", 5, 333, 4320, 293)
 
     def test_theta_strategy_result_is_pinned(self):
         # One call and one branch per connected removal on the non-local
@@ -730,6 +810,12 @@ class TestStructuralProperties:
         g = make_complete(5)
         with pytest.raises(BudgetExceeded):
             min_agents(g, 4, budget_states=10)
+
+    def test_unknown_mode_is_refused_before_any_build(self):
+        # ring(1100) with 2 agents is over the state budget, so only a mode
+        # check made first can answer.
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            compute_attractor(make_ring(1100), 2, "bogus")
 
     def test_budget_is_checked_before_the_group_search(self):
         # 1,815,550 states with 2 agents on 1,100 nodes, over the default
