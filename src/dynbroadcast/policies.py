@@ -16,6 +16,9 @@ distinct menu rather than once per connected removal. The theta strategy,
 `solver.SolvedAgentPolicy`, `CliquePolicy` and `LollipopPolicy` are local.
 `TowardSourcePolicy` and `GreedyPathPolicy` read distances over the whole
 survivor, so they are not; a policy without the attribute is not local.
+The attribute holds for the class that declares it and for subclasses that
+keep its `decide` and `initial_memory`: a subclass that overrides either
+must declare it again, or `model_check_policy` treats it as undeclared.
 
 Anonymity. An adversary whose `decide` and `initial_memory` read the state
 only through `state.config()`, the sorted positions of each class, declares
@@ -26,8 +29,9 @@ node per configuration where the labelled check has one per ordering of
 same-class agents. Every adversary here is anonymous: the passive, random
 tree and flip-flop adversaries never read the state, and the blockers,
 `IsolationTreeAdversary` and `solver.SolvedAdversaryPolicy` read only which
-nodes hold which class. An adversary without the attribute, or that reads
-agent ids, is checked on labelled states.
+nodes hold which class. An adversary without the attribute is checked on
+labelled states, and so is a subclass that overrides `decide` or
+`initial_memory` without declaring it again, as for `local`.
 
 The theta strategy plays exactly one ignorant agent per internal path and
 one source, the count of the paper's constructive upper bound; it is

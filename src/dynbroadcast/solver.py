@@ -25,16 +25,16 @@ Three questions are asked of such graphs:
   the goal is "no ignorant agent";
 - `game_value(..., "first_new_source")`: the same graph, with the goal "fewer
   ignorant agents than at the start". Both objectives come from one build:
-  a build made for `game_value` runs a second fixpoint on the same graph,
-  in which a successor set that holds a state with fewer ignorant agents
-  than its owner is won from the start. That ranks every state at once.
+  every build runs a second fixpoint on the same graph, in which a
+  successor set that holds a state with fewer ignorant agents than its
+  owner is won from the start. That ranks every state at once.
   Conversion never raises the ignorant count, so from a state with i
   ignorant agents play stays among states with i ignorant agents until the
   goal, and the sets of their branches hold only such states and lower
   ones. All owners of one set have the same ignorant count, since the
   set's ignorant target list has that many agents. So a state's rank in
   the second fixpoint is its rank in the game whose goal is fewer than i
-  ignorant agents. `compute_attractor`'s own builds skip that fixpoint;
+  ignorant agents;
 - `model_check_policy`: the nodes are reached from the start. A fixed agent
   policy gives one single-successor branch per call of its `decide`; a
   fixed adversary gives one branch holding every move of the agents, and
@@ -208,7 +208,6 @@ DEFAULT_BUDGET_STATES = 300_000
 
 Mode = Literal["spanning_trees", "all_subsets"]
 Placement = Literal["adversarial", "agents_choose"]
-Objective = Literal["first_new_source", "all_sources"]
 
 INFINITE = float("inf")
 
@@ -318,19 +317,9 @@ def _class_moves(positions: Sequence[int], adj) -> dict[tuple[int, ...], tuple[i
     agent staying or crossing one edge of a survivor with adjacency `adj`,
     mapped to the least labelled target tuple that reaches it. `product` over
     sorted options runs in lexicographic order, so the first tuple seen for a
-    multiset is the least. A class of one or two agents builds each key
-    directly, in the same order."""
-    options = [sorted((p,) + adj[p]) for p in positions]
-    if len(options) == 1:
-        return {(t,): (t,) for t in options[0]}
+    multiset is the least."""
     moves: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if len(options) == 2:
-        first, second = options
-        for a in first:
-            for b in second:
-                moves.setdefault((a, b) if a <= b else (b, a), (a, b))
-        return moves
-    for targets in product(*options):
+    for targets in product(*(sorted((p,) + adj[p]) for p in positions)):
         moves.setdefault(tuple(sorted(targets)), targets)
     return moves
 
@@ -400,8 +389,8 @@ class Attractor:
     successor_entries: int  # summed over branches: successor representatives per branch
     distinct_sets: int  # successor sets stored, one per distinct pair of target lists
     # int32 per state id: minimax rounds until some ignorant agent converts;
-    # -1 where the adversary prevents it. Ranked only by builds for `game_value`.
-    first_new_source: np.ndarray | None = None
+    # -1 where the adversary prevents it.
+    first_new_source: np.ndarray
 
     def rank_of(self, state: Configuration) -> int | None:
         """The rank of `state`, or None if the adversary wins there or it is
@@ -807,19 +796,8 @@ def compute_attractor(
     mode: Mode = "spanning_trees",
     budget_states: int = DEFAULT_BUDGET_STATES,
 ) -> Attractor:
-    return _attractor(g, total_agents, mode, budget_states)
-
-
-def _attractor(
-    g: Graph,
-    total_agents: int,
-    mode: Mode,
-    budget_states: int,
-    objective: Objective | None = None,
-) -> Attractor:
-    """The cached attractor, built on a miss. `objective` is set by
-    `game_value`: its builds also rank the first-new-source objective, and a
-    first-new-source query rebuilds an attractor cached without those ranks."""
+    """The cached attractor of the game on `g` with `total_agents` agents,
+    built on a miss with the ranks of both objectives (module docstring)."""
     if mode not in ("spanning_trees", "all_subsets"):
         raise ValueError(f"unknown mode {mode!r}")
     if total_agents < 1:
@@ -827,25 +805,18 @@ def _attractor(
     key = (g, total_agents, mode)
     cached = _ATTRACTOR_CACHE.get(key)
     # A smaller budget than the cached build must still raise BudgetExceeded.
-    if (
-        cached is not None
-        and len(cached.ranks) <= budget_states
-        and (objective != "first_new_source" or cached.first_new_source is not None)
-    ):
+    if cached is not None and len(cached.ranks) <= budget_states:
         return cached
     space, graph = _canonical_graph(g, total_agents, mode, budget_states)
     goal = np.arange(space.layer[-1]) < space.layer[1]
-    first_new_source = None
-    if objective is not None:
-        # A set is won from the start if it holds a state with fewer ignorant
-        # agents than its owner: the id of its least state (sets are sorted)
-        # lies below the first id of the owner's layer.
-        layer = np.array(space.layer)
-        owner_floor = layer[np.searchsorted(layer, graph.owner, "right") - 1]
-        set_floor = np.empty(len(graph.offsets) - 1, dtype=np.int64)
-        set_floor[graph.set_of] = owner_floor
-        lowered = graph.values[graph.offsets[:-1]] < set_floor
-        first_new_source = _solve(goal, graph, lowered)[space.rep]
+    # A set is won from the start of the first-new-source fixpoint if it holds
+    # a state with fewer ignorant agents than its owner: the id of its least
+    # state (sets are sorted) lies below the first id of the owner's layer.
+    layer = np.array(space.layer)
+    owner_floor = layer[np.searchsorted(layer, graph.owner, "right") - 1]
+    set_floor = np.empty(len(graph.offsets) - 1, dtype=np.int64)
+    set_floor[graph.set_of] = owner_floor
+    lowered = graph.values[graph.offsets[:-1]] < set_floor
     set_sizes = np.diff(graph.offsets)
     result = _ATTRACTOR_CACHE[key] = Attractor(
         g,
@@ -855,7 +826,7 @@ def _attractor(
         branches=len(graph.owner),
         successor_entries=int(set_sizes[graph.set_of].sum()),
         distinct_sets=len(set_sizes),
-        first_new_source=first_new_source,
+        first_new_source=_solve(goal, graph, lowered)[space.rep],
     )
     return result
 
@@ -954,6 +925,9 @@ def min_agents(
     return None
 
 
+Objective = Literal["first_new_source", "all_sources"]
+
+
 def game_value(
     g: Graph,
     state: Configuration,
@@ -974,7 +948,7 @@ def game_value(
         if not state.source:
             return INFINITE  # nobody can ever convert
     total = len(state.ignorant) + len(state.source)
-    att = _attractor(g, total, "spanning_trees", budget_states, objective)
+    att = compute_attractor(g, total, "spanning_trees", budget_states)
     ranks = att.ranks if objective == "all_sources" else att.first_new_source
     i = att.ranking.id(state)  # None without a source
     r = -1 if i is None else int(ranks[i])
@@ -1108,6 +1082,21 @@ class SolverResult:
     decide_calls: int  # calls to the fixed policy's decide
 
 
+def _declares(policy, attribute: str) -> bool:
+    """Whether `policy`'s class sets `attribute` true no higher in its MRO
+    than the classes that define its `decide` and `initial_memory`. A
+    subclass that overrides either method does not inherit the promise: it
+    must declare the attribute again."""
+    mro = type(policy).__mro__
+
+    def defined_at(name: str) -> int:
+        return next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+
+    return bool(getattr(policy, attribute, False)) and defined_at(attribute) <= min(
+        defined_at("decide"), defined_at("initial_memory")
+    )
+
+
 def model_check_policy(
     g: Graph,
     initial: AgentState,
@@ -1135,11 +1124,11 @@ def model_check_policy(
     new_cls, _ = _convert(initial.positions, initial.is_source)
     initial = AgentState(initial.positions, new_cls)
     # An anonymous adversary is checked on configuration nodes.
-    configurations = fixed.role == "adversary" and getattr(fixed, "anonymous", False)
+    configurations = fixed.role == "adversary" and _declares(fixed, "anonymous")
 
     if fixed.role == "agents":
         survivors = [g.without(r) for r in connected_removals(g)]
-        local = getattr(fixed, "local", False)
+        local = _declares(fixed, "local")
         by_occupied: dict[tuple[int, ...], list[Graph]] = {}
 
         def representatives(positions: tuple[int, ...]) -> list[Graph]:

@@ -930,6 +930,22 @@ class TestLocality:
             "agents", rounds, states, removal_calls, removal_calls
         )
 
+    def test_an_overriding_subclass_must_declare_local_again(self):
+        # A subclass that overrides `decide` does not inherit the promise: it
+        # is asked once per connected removal unless it declares it again.
+        class Overriding(CliquePolicy):
+            def decide(self, surviving, state, memory):
+                return super().decide(surviving, state, memory)
+
+        class Redeclared(Overriding):
+            local = True
+
+        g, start, policy = _clique_policy_complete4()
+        assert model_check_policy(g, start, Overriding()) == SolverResult(
+            "agents", 3, 32, 418, 418
+        )
+        assert model_check_policy(g, start, Redeclared()) == model_check_policy(g, start, policy)
+
 
 def sampled_nodes(g, start, adversary, count, seed=0):
     """`count` (state, memory) pairs met in plays from `start` against
@@ -1077,3 +1093,20 @@ class TestAnonymity:
             if isinstance(cls, type) and getattr(cls, "anonymous", False)
         }
         assert declared == ANONYMOUS_ADVERSARIES
+
+    def test_an_overriding_subclass_must_declare_anonymous_again(self):
+        # A subclass that overrides `decide` may read agent ids: it is checked
+        # on labelled states unless it declares the attribute again.
+        class Overriding(PassiveAdversary):
+            def decide(self, base, state, memory):
+                return super().decide(base, state, memory)
+
+        class Redeclared(Overriding):
+            anonymous = True
+
+        g, start = make_ring(6), initial_state([2, 4], [0])
+        on_labels = model_check_policy(g, start, labelled(PassiveAdversary()))
+        on_configs = model_check_policy(g, start, PassiveAdversary())
+        assert on_labels.states_explored > on_configs.states_explored
+        assert model_check_policy(g, start, Overriding()) == on_labels
+        assert model_check_policy(g, start, Redeclared()) == on_configs

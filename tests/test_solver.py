@@ -39,7 +39,6 @@ from dynbroadcast.solver import (
     SolvedAgentPolicy,
     SolverResult,
     _canonical_graph,
-    _class_moves,
     _initial_states,
     _minimal_menu_survivors,
     _placement_ids,
@@ -139,19 +138,6 @@ class TestBranching:
         got = [menu(s) for s in survivors]
         assert len(set(got)) == len(got)
         assert set(got) == minimal
-
-    @given(connected_graphs(), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_class_moves_equal_the_sorted_product(self, g, data):
-        # Keys, values and their order, for classes of 1 to 3 agents over any
-        # survivor, connected or not.
-        positions = data.draw(st.lists(st.sampled_from(list(g.nodes)), min_size=1, max_size=3))
-        removed = data.draw(st.sets(st.sampled_from(sorted(g.edges))))
-        adj = g.without(removed).adjacency()
-        want = {}
-        for targets in itertools.product(*(sorted((p,) + adj[p]) for p in positions)):
-            want.setdefault(tuple(sorted(targets)), targets)
-        assert list(_class_moves(positions, adj).items()) == list(want.items())
 
 
 def image(sigma, s):
@@ -546,25 +532,15 @@ class TestGameValue:
         assert game_value(g, config, "all_sources") == att.rank_of(config)
         assert list(solver._ATTRACTOR_CACHE.values()) == [att]
         assert compute_attractor(g, 3) is att
-
-    def test_first_new_source_after_a_plain_build(self, monkeypatch):
-        # A first-new-source query on an attractor cached without those ranks
-        # rebuilds it once, with the values of a build on an empty cache.
-        g = make_theta([2, 3])
+        # In the other order: first-new-source queries read a plain
+        # compute_attractor build as it is, with the values of queries made
+        # on an empty cache.
         states = _initial_states(g, 2, 1)
-        monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
         fresh = [game_value(g, s, "first_new_source") for s in states]
         monkeypatch.setattr(solver, "_ATTRACTOR_CACHE", {})
         plain = compute_attractor(g, 3)
-        assert plain.first_new_source is None
-        assert game_value(g, states[0], "all_sources") == plain.rank_of(states[0])
-        assert compute_attractor(g, 3) is plain  # the other objective reads it as it is
-        first = game_value(g, states[0], "first_new_source")
-        rebuilt = compute_attractor(g, 3)
-        assert rebuilt is not plain and rebuilt.first_new_source is not None
-        assert [first] + [game_value(g, s, "first_new_source") for s in states[1:]] == fresh
-        assert compute_attractor(g, 3) is rebuilt
-        assert (rebuilt.ranks == plain.ranks).all()
+        assert [game_value(g, s, "first_new_source") for s in states] == fresh
+        assert list(solver._ATTRACTOR_CACHE.values()) == [plain]
 
 
 class TestExtractedPolicies:
